@@ -33,24 +33,34 @@ let fmt = Format.std_formatter
 
 let quick = Sys.getenv_opt "DMUTEX_BENCH_QUICK" = Some "1"
 
-(* DMUTEX_BENCH_ONLY=lab (comma-separated: micro, figures, tables,
-   lab, derived, rw, sharded, client) restricts the run to named
-   sections — the nightly lab workflow regenerates only the big-N
-   tables without paying for the live-socket experiments. The JSON
-   summary then lacks the skipped sections' derived metrics, so its
-   gate run needs [--allow-missing]. *)
+(* Bad settings end the run before anything is measured: a misspelt
+   section would otherwise run nothing and exit 0. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
+(* DMUTEX_BENCH_ONLY=lab (comma-separated section names, see [main])
+   restricts the run to named sections — the nightly lab workflow
+   regenerates only the big-N tables without paying for the
+   live-socket experiments. The JSON summary then lacks the skipped
+   sections' derived metrics, so its gate run needs
+   [--allow-missing]. *)
 let only_sections =
   match Sys.getenv_opt "DMUTEX_BENCH_ONLY" with
   | None | Some "" -> None
-  | Some s ->
-      Some (List.map String.trim (String.split_on_char ',' s))
-
-let section name =
-  match only_sections with None -> true | Some l -> List.mem name l
+  | Some s -> Some (List.map String.trim (String.split_on_char ',' s))
 
 let requests =
   match Sys.getenv_opt "DMUTEX_BENCH_REQUESTS" with
-  | Some s -> ( try int_of_string s with _ -> 50_000)
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n > 0 -> n
+      | Some _ | None ->
+          usage_error "DMUTEX_BENCH_REQUESTS: expected a positive integer, got %S"
+            s)
   | None -> if quick then 2_000 else 50_000
 
 let runs = if quick then 2 else 3
@@ -768,22 +778,38 @@ let write_json path ~total =
     (fun () -> output_string oc (Buffer.contents buf))
 
 let () =
+  (* Kernels first, on a fresh heap: timed after the lab (table:scale
+     allocates ~24 GB) they read 20–25% slower for reasons that have
+     nothing to do with the code they measure. *)
+  let sections =
+    [
+      ("micro", run_micro);
+      ("figures", figures);
+      ("tables", tables);
+      ("lab", lab);
+      ("derived", derived);
+      ("rw", rw_throughput);
+      ("sharded", sharded);
+      ("client", client_swarm);
+    ]
+  in
+  Option.iter
+    (List.iter (fun name ->
+         if not (List.mem_assoc name sections) then
+           usage_error "DMUTEX_BENCH_ONLY: unknown section %S (valid: %s)" name
+             (String.concat ", " (List.map fst sections))))
+    only_sections;
   Format.fprintf fmt
     "dmutex bench — requests/point=%d runs=%d rates=%d jobs=%d%s@.@." requests
     runs (List.length rates) (Simkit.Pool.jobs ())
     (if quick then " (QUICK mode)" else "");
   let t0 = Unix.gettimeofday () in
-  (* Kernels first, on a fresh heap: timed after the lab (table:scale
-     allocates ~24 GB) they read 20–25% slower for reasons that have
-     nothing to do with the code they measure. *)
-  if section "micro" then run_micro ();
-  if section "figures" then figures ();
-  if section "tables" then tables ();
-  if section "lab" then lab ();
-  if section "derived" then derived ();
-  if section "rw" then rw_throughput ();
-  if section "sharded" then sharded ();
-  if section "client" then client_swarm ();
+  List.iter
+    (fun (name, run) ->
+      match only_sections with
+      | Some names when not (List.mem name names) -> ()
+      | Some _ | None -> run ())
+    sections;
   let total = Unix.gettimeofday () -. t0 in
   Format.fprintf fmt "total wall-clock: %.2f s (jobs=%d)@." total
     (Simkit.Pool.jobs ());

@@ -77,13 +77,26 @@ let metrics_every_arg =
            reconnects/queue depth) and protocol note counters every \
            $(docv) seconds. 0 disables." ~docv:"SEC")
 
+(* A probability, or a usage error naming the flag: 1.5 would drop
+   every frame and nan none, both silently. *)
+let probability_conv =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok p when p >= 0.0 && p <= 1.0 -> Ok p
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "expected a probability in [0, 1], got %s" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let loss_arg =
   Arg.(
-    value & opt float 0.0
+    value & opt probability_conv 0.0
     & info [ "loss" ]
         ~doc:
           "Chaos: drop each outgoing frame with this probability \
-           before it reaches the socket." ~docv:"P")
+           before it reaches the socket. $(docv) must lie in [0, 1]."
+        ~docv:"P")
 
 let heartbeat_arg =
   Arg.(
@@ -93,17 +106,6 @@ let heartbeat_arg =
           "Transport heartbeat period in seconds; peers silent for \
            longer than four periods are reported suspect. 0 disables \
            the liveness monitor." ~docv:"SEC")
-
-let flush_us_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "flush-us" ]
-        ~doc:
-          "Hold outbound frames back up to $(docv) microseconds so \
-           more of them share one coalesced write (trades a little \
-           latency for fewer syscalls under load). 0 flushes on the \
-           next reactor pass, which already batches everything a \
-           protocol step produced. Overrides DMUTEX_FLUSH_US." ~docv:"US")
 
 let metrics_addr_arg =
   Arg.(
@@ -268,8 +270,8 @@ let serve_metrics (ep : Netkit.Transport.endpoint) reg ~wfg =
          done)
        ())
 
-let run id peers locks demo verbose metrics_every loss heartbeat flush_us
-    metrics_addr trace_file join state_dir client_addr lease_ms =
+let run id peers locks demo verbose metrics_every loss heartbeat metrics_addr
+    trace_file join state_dir client_addr lease_ms =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Info));
   let peers = Array.of_list peers in
@@ -407,7 +409,7 @@ let run id peers locks demo verbose metrics_every loss heartbeat flush_us
         Logs.warn (fun m -> m "node %d: peer %d suspected down" id peer))
       ~on_alive:(fun peer ->
         Logs.info (fun m -> m "node %d: peer %d alive again" id peer))
-      ~locks ?initial ?store ?persist ~obs ?trace ~flush_us cfg ~me:id
+      ~locks ?initial ?store ?persist ~obs ?trace cfg ~me:id
       ~peers ()
   in
   List.iter
@@ -575,8 +577,8 @@ let main =
           exclusion protocol over TCP.")
     Term.(
       const run $ id_arg $ peers_arg $ locks_arg $ demo_arg $ verbose_arg
-      $ metrics_every_arg $ loss_arg $ heartbeat_arg $ flush_us_arg
-      $ metrics_addr_arg $ trace_file_arg $ join_arg $ state_dir_arg
-      $ client_addr_arg $ lease_ms_arg)
+      $ metrics_every_arg $ loss_arg $ heartbeat_arg $ metrics_addr_arg
+      $ trace_file_arg $ join_arg $ state_dir_arg $ client_addr_arg
+      $ lease_ms_arg)
 
 let () = exit (Cmd.eval main)

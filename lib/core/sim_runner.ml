@@ -2,15 +2,6 @@ open Simkit
 
 type node_stats = { grants : int; dispatches : int; sent : int }
 
-(* A fault schedule, algorithm-independent so one plan can be replayed
-   verbatim against dmutex and every baseline. Hosts refuse plans that
-   exceed the algorithm's declared [Types.fault_support]. *)
-type fault_event =
-  | Crash_at of { node : int; at : float; restart_after : float option }
-  | Loss_between of { from_ : float; until_ : float; p : float }
-
-type fault_plan = fault_event list
-
 type outcome = {
   algorithm : string;
   n : int;
@@ -357,6 +348,7 @@ module Make (A : Types.ALGO) = struct
     if t.closed_loop then request t i
 
   let set_loss t p =
+    Types.check_loss "Sim_runner.set_loss" p;
     if p > 0.0 then require_loss_support ();
     Network.set_loss t.net p
 
@@ -364,44 +356,45 @@ module Make (A : Types.ALGO) = struct
     (* Validate the whole plan before scheduling anything, so an
        unsupported algorithm fails loudly at injection time rather than
        mid-run. *)
+    let check_node i =
+      if i < 0 || i >= t.cfg.Types.Config.n then
+        invalid_arg "Sim_runner.apply_faults: node out of range"
+    in
     List.iter
-      (function
-        | Crash_at { node; at; restart_after } ->
+      (fun (at, fault) ->
+        if not (at >= 0.0) then
+          invalid_arg "Sim_runner.apply_faults: negative fault time";
+        match fault with
+        | Types.Crash node ->
             require_crash_support ();
-            if node < 0 || node >= t.cfg.Types.Config.n then
-              invalid_arg "Sim_runner.apply_faults: node out of range";
-            if at < 0.0 then
-              invalid_arg "Sim_runner.apply_faults: negative crash time";
-            (match restart_after with
-            | Some d when d <= 0.0 ->
-                invalid_arg "Sim_runner.apply_faults: restart_after <= 0"
-            | _ -> ())
-        | Loss_between { from_; until_; p } ->
-            if p > 0.0 then require_loss_support ();
-            if from_ < 0.0 || until_ <= from_ then
-              invalid_arg "Sim_runner.apply_faults: bad loss window";
-            if p < 0.0 || p > 1.0 then
-              invalid_arg "Sim_runner.apply_faults: loss probability")
+            check_node node
+        | Types.Restart { node; after } ->
+            require_crash_support ();
+            check_node node;
+            if not (after > 0.0) then
+              invalid_arg "Sim_runner.apply_faults: restart after <= 0"
+        | Types.Loss p ->
+            Types.check_loss "Sim_runner.apply_faults" p;
+            if p > 0.0 then require_loss_support ()
+        | Types.Partition groups ->
+            require_loss_support ();
+            List.iter (List.iter check_node) groups
+        | Types.Heal -> ())
       plan;
     List.iter
-      (function
-        | Crash_at { node; at; restart_after } ->
-            ignore
-              (Engine.schedule_at t.engine ~time:at (fun _ ->
+      (fun (at, fault) ->
+        ignore
+          (Engine.schedule_at t.engine ~time:at (fun _ ->
+               match fault with
+               | Types.Crash node -> crash t node
+               | Types.Restart { node; after } ->
                    crash t node;
-                   match restart_after with
-                   | Some d ->
-                       ignore
-                         (Engine.schedule t.engine ~delay:d (fun _ ->
-                              recover t node))
-                   | None -> ()))
-        | Loss_between { from_; until_; p } ->
-            ignore
-              (Engine.schedule_at t.engine ~time:from_ (fun _ ->
-                   Network.set_loss t.net p));
-            ignore
-              (Engine.schedule_at t.engine ~time:until_ (fun _ ->
-                   Network.set_loss t.net 0.0)))
+                   ignore
+                     (Engine.schedule t.engine ~delay:after (fun _ ->
+                          recover t node))
+               | Types.Loss p -> set_loss t p
+               | Types.Partition groups -> Network.partition t.net groups
+               | Types.Heal -> Network.heal t.net)))
       plan
 
   let reset ?(seed = 42) t =

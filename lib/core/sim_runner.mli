@@ -41,22 +41,6 @@ type outcome = {
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** One entry of an algorithm-independent fault schedule. Times are
-    absolute simulated seconds. *)
-type fault_event =
-  | Crash_at of { node : int; at : float; restart_after : float option }
-      (** Fail-stop [node] at [at]; restart it [restart_after] seconds
-          later (never, if [None]). *)
-  | Loss_between of { from_ : float; until_ : float; p : float }
-      (** Drop every message with probability [p] during
-          [\[from_, until_)]. *)
-
-type fault_plan = fault_event list
-(** A schedule replayable verbatim against any algorithm, so recovery
-    cost is a compared metric. Hosts raise {!Types.Unsupported_fault}
-    when the algorithm's {!Types.ALGO.fault_support} does not cover an
-    entry, rather than silently measuring unmodelled behaviour. *)
-
 module Make (A : Types.ALGO) : sig
   type t
 
@@ -108,14 +92,21 @@ module Make (A : Types.ALGO) : sig
   val set_loss : t -> float -> unit
   (** Uniform message-loss probability, gated on
       [A.fault_support.message_loss] like {!crash} (setting [0.] is
-      always allowed). *)
+      always allowed).
+      @raise Invalid_argument if [p] is outside [\[0, 1\]] or NaN. *)
 
-  val apply_faults : t -> fault_plan -> unit
+  val apply_faults : t -> Types.fault_plan -> unit
   (** Validate a fault plan against [A.fault_support] and schedule it
-      on the engine. The whole plan is validated before anything is
-      scheduled, so an unsupported algorithm fails at injection time.
+      on the engine, reading each offset as absolute simulated
+      seconds. [Restart] crashes the node and {!recover}s it [after]
+      seconds later; [Loss] is {!set_loss}; [Partition] and [Heal]
+      go to [Simkit.Network.partition]/[heal]. [Partition] needs
+      [message_loss] support, since a partition loses messages. The
+      whole plan is validated before anything is scheduled, so an
+      unsupported algorithm fails at injection time.
       @raise Types.Unsupported_fault on an uncovered fault kind.
-      @raise Invalid_argument on out-of-range nodes, negative times or
+      @raise Invalid_argument on out-of-range nodes (partition members
+      included), negative times, a non-positive restart delay or
       probabilities outside [\[0, 1\]]. *)
 
   val on_grant : t -> (node:int -> delay:float -> unit) -> unit
@@ -163,7 +154,7 @@ module Make (A : Types.ALGO) : sig
       [rw:throughput] benchmark. *)
 
   val saturate :
-    ?requests:int -> ?faults:fault_plan -> ?until:float -> t -> outcome
+    ?requests:int -> ?faults:Types.fault_plan -> ?until:float -> t -> outcome
   (** The closed-loop experiment on an existing (fresh or {!reset})
       simulation — the arena-reusing core of {!run_saturated}, with an
       optional fault schedule applied before the first request and an

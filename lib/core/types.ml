@@ -233,6 +233,47 @@ exception Unsupported_fault of string
     algorithm and the fault, e.g. ["raymond does not model crash-stop
     failures"]. *)
 
+(** One injected fault, in the vocabulary both hosts read: the
+    simulator ([Sim_runner.apply_faults]) and the live cluster
+    ([Netkit.Cluster.chaos]). *)
+type fault =
+  | Crash of node_id  (** Fail-stop the node. *)
+  | Restart of { node : node_id; after : float }
+      (** Fail-stop [node] now and bring it back [after] seconds later
+          in a fresh incarnation (rebuilt from its durable state where
+          the host has one). *)
+  | Loss of float
+      (** From now on, drop each message independently with this
+          probability. *)
+  | Partition of node_id list list
+      (** Drop messages between nodes in different groups; nodes in no
+          group form one extra group. *)
+  | Heal  (** Remove any partition. *)
+
+type fault_plan = (float * fault) list
+(** Faults paired with offsets from the start of the run: simulated
+    seconds in the simulator, wall-clock seconds on a live cluster.
+    One plan replays verbatim against any algorithm and either host. *)
+
+let check_loss who p =
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg (Printf.sprintf "%s: loss probability %g outside [0, 1]" who p)
+(** [check_loss who p] raises [Invalid_argument] (naming [who]) unless
+    [p] is a probability; NaN is rejected. *)
+
+let pp_fault ppf = function
+  | Crash i -> Format.fprintf ppf "crash(%d)" i
+  | Restart { node; after } ->
+      Format.fprintf ppf "restart(%d, +%.2fs)" node after
+  | Loss p -> Format.fprintf ppf "loss=%.3f" p
+  | Partition groups ->
+      Format.fprintf ppf "partition(%s)"
+        (String.concat "|"
+           (List.map
+              (fun g -> String.concat "," (List.map string_of_int g))
+              groups))
+  | Heal -> Format.fprintf ppf "heal"
+
 (** The interface every algorithm implements. Implementations must be
     pure: [handle] returns a fresh state and never mutates. *)
 module type ALGO = sig

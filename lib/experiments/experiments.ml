@@ -941,14 +941,15 @@ type fault_row = {
 
 (* One schedule replayed verbatim against every algorithm: two
    crash-and-restart events (one early, one mid-run) and a 5% loss
-   window. Algorithms without a failure model refuse the plan loudly
-   ([Types.Unsupported_fault]) and are reported as unsupported rather
-   than silently measured. *)
-let default_fault_plan ~n : Sim_runner.fault_plan =
+   window from 60 to 75 s. Algorithms without a failure model refuse
+   the plan loudly ([Types.Unsupported_fault]) and are reported as
+   unsupported rather than silently measured. *)
+let default_fault_plan ~n : Types.fault_plan =
   [
-    Sim_runner.Crash_at { node = 1 mod n; at = 15.0; restart_after = Some 8.0 };
-    Sim_runner.Crash_at { node = n / 2; at = 40.0; restart_after = Some 10.0 };
-    Sim_runner.Loss_between { from_ = 60.0; until_ = 75.0; p = 0.05 };
+    (15.0, Types.Restart { node = 1 mod n; after = 8.0 });
+    (40.0, Types.Restart { node = n / 2; after = 10.0 });
+    (60.0, Types.Loss 0.05);
+    (75.0, Types.Loss 0.0);
   ]
 
 let fault_set ~n:_ =

@@ -15,9 +15,8 @@ struct
     int option
 
   type chaos_event =
-    | Fault of Fault.event
+    | Fault of Dmutex.Types.fault
     | Crash_where of string * selector
-    | Restart of { node : int; after : float }
     | Restart_where of { label : string; select : selector; after : float }
 
   type chaos_schedule = (float * chaos_event) list
@@ -38,6 +37,9 @@ struct
     heartbeat_period : float option;
     suspect_timeout : float;
     state_root : string option;
+    mutable loss : float;
+        (* every transport's loss probability; a node started later
+           (restart, add_node) inherits it *)
     (* One registry per node slot, owned by the cluster and handed to
        every incarnation of that node: counters survive kill-and-
        restart drills, so a run report covers the whole run. *)
@@ -82,7 +84,7 @@ struct
       ~suspect_timeout ~state_root ~obs ~trace ~persist ~restore =
     let n = cfg.Dmutex.Types.Config.n in
     let peers = endpoints ~base_port n in
-    let fault = Fault.create ~seed ~n () in
+    let fault = Fault.create () in
     (match state_root with
     | Some root -> (
         try Unix.mkdir root 0o755
@@ -126,6 +128,7 @@ struct
           heartbeat_period;
           suspect_timeout;
           state_root;
+          loss = 0.0;
           obs;
           trace;
           persist;
@@ -249,6 +252,7 @@ struct
               bind (attempts + 1)
         in
         let node = bind 0 in
+        Node.set_loss node t.loss;
         t.nodes.(i) <- node;
         t.live.(i) <- true;
         List.iter
@@ -295,6 +299,7 @@ struct
                 ~peers ()
             with
             | node ->
+                Node.set_loss node t.loss;
                 t.nodes <- Array.append t.nodes [| node |];
                 t.live <- Array.append t.live [| true |];
                 t.peers <- peers;
@@ -416,6 +421,37 @@ struct
     in
     poll ()
 
+  (* Under [restart_mu], so a node restarted or added concurrently
+     either sees the new probability or is reached by the sweep. *)
+  let set_loss t p =
+    Mutex.lock t.restart_mu;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.restart_mu)
+      (fun () ->
+        t.loss <- p;
+        Array.iteri
+          (fun i node -> if t.live.(i) then Node.set_loss node p)
+          t.nodes)
+
+  let run_fault t at (f : Dmutex.Types.fault) =
+    let log () =
+      log_chaos t at (Format.asprintf "%a" Dmutex.Types.pp_fault f)
+    in
+    match f with
+    | Crash i ->
+        Fault.crash t.fault i;
+        log ()
+    | Restart { node; after } -> run_restart t at "node" node after
+    | Loss p ->
+        set_loss t p;
+        log ()
+    | Partition groups ->
+        Fault.partition t.fault groups;
+        log ()
+    | Heal ->
+        Fault.heal t.fault;
+        log ()
+
   let run_schedule t schedule =
     let t0 = Unix.gettimeofday () in
     List.iter
@@ -423,19 +459,34 @@ struct
         sleep_until t (t0 +. at);
         if not t.stopping then
           match ev with
-          | Fault fe ->
-              Fault.apply t.fault fe;
-              log_chaos t at (Format.asprintf "%a" Fault.pp_event fe)
+          | Fault f -> run_fault t at f
           | Crash_where (label, select) -> run_crash_where t at label select
-          | Restart { node; after } -> run_restart t at "node" node after
           | Restart_where { label; select; after } ->
               run_restart_where t at label select after)
+      schedule
+
+  (* Bad entries fail here, on the caller's thread, not mid-schedule. *)
+  let validate_schedule t schedule =
+    let check_node i =
+      if i < 0 || i >= Array.length t.nodes then
+        invalid_arg "Cluster.chaos: node out of range"
+    in
+    List.iter
+      (fun (_, ev) ->
+        match ev with
+        | Fault (Crash node | Restart { node; _ }) -> check_node node
+        | Fault (Loss p) -> Dmutex.Types.check_loss "Cluster.chaos" p
+        | Fault (Partition groups) ->
+            if List.exists (List.exists (fun i -> i < 0)) groups then
+              invalid_arg "Cluster.chaos: negative partition member"
+        | Fault Heal | Crash_where _ | Restart_where _ -> ())
       schedule
 
   let chaos t schedule =
     (match t.chaos_thread with
     | Some _ -> invalid_arg "Cluster.chaos: a schedule is already running"
     | None -> ());
+    validate_schedule t schedule;
     let schedule =
       List.sort (fun (a, _) (b, _) -> Float.compare a b) schedule
     in

@@ -2,11 +2,11 @@
 
     Each node is a full {!Node_runner} with its own sockets and
     threads; only the process boundary is missing compared to a real
-    deployment. All nodes share one {!Fault} injector, so the
-    simulator's chaos machinery (loss, partitions, crash-stop) applies
-    to live frames, driven either directly through {!fault} or by a
-    deterministic wall-clock {!chaos} schedule. Used by the examples,
-    the end-to-end tests and the chaos soak. *)
+    deployment. All nodes share one {!Fault} injector for crash-stop
+    and partitions, and {!chaos} replays the simulator's fault
+    vocabulary ({!Dmutex.Types.fault}) on live frames as a wall-clock
+    schedule. Used by the examples, the end-to-end tests and the chaos
+    soak. *)
 
 module Make
     (A : Dmutex.Types.ALGO)
@@ -26,21 +26,28 @@ module Make
 
   (** One step of a chaos schedule. *)
   type chaos_event =
-    | Fault of Fault.event  (** Static fault: loss, crash by id, partition… *)
+    | Fault of Dmutex.Types.fault
+        (** A fault by node id, in the simulator's vocabulary:
+            - [Crash i] severs [i] from the network through {!fault}
+              (crash-stop; its process keeps running);
+            - [Restart { node; after }] is the full drill: tear [node]
+              down for real ({!crash} — sockets closed, stores aborted
+              without flush), keep it down for [after] seconds, then
+              {!restart} it from its state directories. The schedule
+              thread blocks through the outage (events are
+              deliberately sequential);
+            - [Loss p] sets every node's transport loss
+              ({!Node_runner.Make.set_loss}); nodes restarted or added
+              later inherit it;
+            - [Partition]/[Heal] go to {!fault}. *)
     | Crash_where of string * selector
         (** Role-targeted crash-stop: the selector inspects live
             protocol states and names the victim (e.g. "whoever holds
-            the token right now"). Polled every 20 ms until it returns
-            a live node, giving up after 10 s; the label is for the
-            chaos log. *)
-    | Restart of { node : int; after : float }
-        (** Full restart drill: tear [node] down for real ({!crash} —
-            sockets closed, stores aborted without flush), keep it down
-            for [after] seconds, then {!restart} it from its state
-            directories. The schedule thread blocks through the outage
-            (events are deliberately sequential). *)
+            the token right now"), which is severed as by [Crash].
+            Polled every 20 ms until it returns a live node, giving up
+            after 10 s; the label is for the chaos log. *)
     | Restart_where of { label : string; select : selector; after : float }
-        (** Role-targeted {!Restart}: victim selection as in
+        (** Role-targeted [Restart]: victim selection as in
             [Crash_where] — e.g. "whoever holds the token right now",
             killed mid-CS and brought back from disk. *)
 
@@ -67,9 +74,9 @@ module Make
     t
   (** Start [cfg.n] nodes on 127.0.0.1 ports [base_port ..
       base_port+n-1] (default base port 7801; picks free ports by
-      retrying a few bases on bind failure). [seed] drives the shared
-      fault injector and per-node transport randomness, making chaos
-      runs reproducible. Every node hosts one protocol instance per
+      retrying a few bases on bind failure). [seed] drives each node's
+      transport randomness (loss and backoff draws), making chaos runs
+      reproducible. Every node hosts one protocol instance per
       [locks] entry (default [[Node.default_lock]]), all multiplexed
       over its one transport; a duplicate lock name (which would
       silently shadow the first instance) or an empty list is rejected
@@ -115,13 +122,15 @@ module Make
       bounded retry). *)
 
   val fault : t -> Fault.t
-  (** The cluster-wide fault injector (shared by every node's
-      transport) for direct, un-scheduled chaos. *)
+  (** The cluster-wide connectivity injector (shared by every node's
+      transport) for direct, un-scheduled crash-stop and partitions. *)
 
   val chaos : t -> chaos_schedule -> unit
   (** Run a chaos schedule on a background thread: each event fires at
       its wall-clock offset from now. At most one schedule at a time.
-      {!shutdown} aborts a running schedule. *)
+      {!shutdown} aborts a running schedule.
+      @raise Invalid_argument before anything runs if an event names a
+      node out of range or a loss probability outside [\[0, 1\]]. *)
 
   val wait_chaos : t -> unit
   (** Block until the running schedule (if any) has fired its last

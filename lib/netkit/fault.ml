@@ -1,169 +1,60 @@
-type verdict = Deliver | Drop | Delay of float
-
-type event =
-  | Set_loss of float
-  | Crash of int
-  | Recover of int
-  | Restart of { node : int; after : float }
-  | Partition of int list list
-  | Heal
-
-type schedule = (float * event) list
-
 type t = {
-  n : int; (* birth-cluster size; arrays grow past it as nodes join *)
   mutex : Mutex.t;
-  rng : Random.State.t;
-  mutable loss : float;
   mutable crashed : bool array;
   mutable group_of : int array option;
-  mutable interceptor : (src:int -> dst:int -> string -> verdict) option;
-  mutable drops : int;
 }
 
-let create ?(seed = 0xfa017) ~n () =
-  if n <= 0 then invalid_arg "Fault.create: n must be positive";
-  {
-    n;
-    mutex = Mutex.create ();
-    rng = Random.State.make [| seed; n; 0xc4a05 |];
-    loss = 0.0;
-    crashed = Array.make n false;
-    group_of = None;
-    interceptor = None;
-    drops = 0;
-  }
-
-let n t = t.n
+let create () = { mutex = Mutex.create (); crashed = [||]; group_of = None }
 
 let with_mutex t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let set_loss t p = with_mutex t (fun () -> t.loss <- p)
-
-let check_id t i name =
-  ignore t;
+let check_id i name =
   if i < 0 then
     invalid_arg (Printf.sprintf "Fault.%s: node id out of range" name)
 
-(* Dynamic membership: node ids beyond the birth size appear once
-   nodes join. Must hold [t.mutex]. *)
-let ensure_locked t i =
-  let len = Array.length t.crashed in
-  if i >= len then begin
-    let crashed = Array.make (i + 1) false in
-    Array.blit t.crashed 0 crashed 0 len;
-    t.crashed <- crashed;
-    match t.group_of with
-    | Some g when Array.length g <= i ->
-        let g' = Array.make (i + 1) (-1) in
-        Array.blit g 0 g' 0 (Array.length g);
-        t.group_of <- Some g'
-    | _ -> ()
-  end
-
-let crash t i =
-  check_id t i "crash";
+(* Both tables grow on demand, so ids of nodes that join later need no
+   set-up. Ids past either table read as "not crashed" and "in the
+   implicit extra group". *)
+let set_crashed t i v name =
+  check_id i name;
   with_mutex t (fun () ->
-      ensure_locked t i;
-      t.crashed.(i) <- true)
+      let len = Array.length t.crashed in
+      if i >= len then begin
+        let crashed = Array.make (i + 1) false in
+        Array.blit t.crashed 0 crashed 0 len;
+        t.crashed <- crashed
+      end;
+      t.crashed.(i) <- v)
 
-let recover t i =
-  check_id t i "recover";
-  with_mutex t (fun () ->
-      ensure_locked t i;
-      t.crashed.(i) <- false)
+let crash t i = set_crashed t i true "crash"
+let recover t i = set_crashed t i false "recover"
+
+let crashed_locked t i = i < Array.length t.crashed && t.crashed.(i)
 
 let is_crashed t i =
-  check_id t i "is_crashed";
-  with_mutex t (fun () -> i < Array.length t.crashed && t.crashed.(i))
+  check_id i "is_crashed";
+  with_mutex t (fun () -> crashed_locked t i)
 
 let partition t groups =
-  let top =
-    List.fold_left (List.fold_left (fun acc i -> max acc i)) (t.n - 1) groups
-  in
+  List.iter (List.iter (fun i -> check_id i "partition")) groups;
+  let top = List.fold_left (List.fold_left max) (-1) groups in
   let group_of = Array.make (top + 1) (-1) in
-  List.iteri
-    (fun g members ->
-      List.iter
-        (fun i ->
-          check_id t i "partition";
-          group_of.(i) <- g)
-        members)
+  List.iteri (fun g members -> List.iter (fun i -> group_of.(i) <- g) members)
     groups;
   with_mutex t (fun () -> t.group_of <- Some group_of)
 
 let heal t = with_mutex t (fun () -> t.group_of <- None)
-let set_interceptor t f = with_mutex t (fun () -> t.interceptor <- Some f)
-let clear_interceptor t = with_mutex t (fun () -> t.interceptor <- None)
-let drops t = with_mutex t (fun () -> t.drops)
-
-let severed_locked t ~src ~dst =
-  let crashed i = i < Array.length t.crashed && t.crashed.(i) in
-  crashed src || crashed dst
-  ||
-  match t.group_of with
-  | None -> false
-  | Some g ->
-      (* Ids past the partition map form the implicit extra group. *)
-      let grp i = if i < Array.length g then g.(i) else -1 in
-      grp src <> grp dst
 
 let reachable t ~src ~dst =
-  check_id t src "reachable";
-  check_id t dst "reachable";
-  with_mutex t (fun () -> not (severed_locked t ~src ~dst))
-
-(* Same decision order as [Simkit.Network.send]: connectivity first,
-   then the loss draw, then the targeted interceptor. *)
-let verdict t ~src ~dst payload =
-  check_id t src "verdict";
-  check_id t dst "verdict";
-  let v =
-    with_mutex t (fun () ->
-        if severed_locked t ~src ~dst then Drop
-        else if t.loss > 0.0 && Random.State.float t.rng 1.0 < t.loss then Drop
-        else
-          match t.interceptor with
-          | None -> Deliver
-          | Some f -> f ~src ~dst payload)
-  in
-  (match v with
-  | Drop -> with_mutex t (fun () -> t.drops <- t.drops + 1)
-  | Deliver | Delay _ -> ());
-  v
-
-let apply t = function
-  | Set_loss p -> set_loss t p
-  | Crash i -> crash t i
-  | Recover i -> recover t i
-  | Restart { node; after } ->
-      (* Network-level restart: sever the node now, bring it back
-         [after] seconds later on a helper thread so the caller's
-         schedule keeps running through the outage. The node's process
-         state survives — for a full teardown-and-rebuild from the
-         durable store, use [Cluster]'s restart events instead. *)
-      crash t node;
-      ignore
-        (Thread.create
-           (fun () ->
-             Thread.delay (Float.max 0.0 after);
-             recover t node)
-           ())
-  | Partition groups -> partition t groups
-  | Heal -> heal t
-
-let pp_event ppf = function
-  | Set_loss p -> Format.fprintf ppf "loss=%.3f" p
-  | Crash i -> Format.fprintf ppf "crash(%d)" i
-  | Recover i -> Format.fprintf ppf "recover(%d)" i
-  | Restart { node; after } ->
-      Format.fprintf ppf "restart(%d, +%.2fs)" node after
-  | Partition groups ->
-      Format.fprintf ppf "partition(%s)"
-        (String.concat "|"
-           (List.map
-              (fun g -> String.concat "," (List.map string_of_int g))
-              groups))
-  | Heal -> Format.fprintf ppf "heal"
+  check_id src "reachable";
+  check_id dst "reachable";
+  with_mutex t (fun () ->
+      let group i =
+        match t.group_of with
+        | Some g when i < Array.length g -> g.(i)
+        | Some _ | None -> -1
+      in
+      (not (crashed_locked t src || crashed_locked t dst))
+      && group src = group dst)

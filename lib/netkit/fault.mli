@@ -1,85 +1,42 @@
-(** Fault injection for the live TCP stack.
-
-    Mirrors the verdict surface of [Simkit.Network] — uniform loss,
-    partitions, crash-stop, and an arbitrary per-frame interceptor —
-    but applied to real frames on their way to real sockets, so the
-    Section 6 recovery machinery can be exercised where it matters.
+(** Connectivity faults for the live TCP stack: crash-stop and
+    partitions, the live counterpart of [Simkit.Network]'s
+    [crash]/[partition], applied to real frames on their way to real
+    sockets so the Section 6 recovery machinery can be exercised where
+    it matters. Message loss is not here: each transport draws its own
+    ({!Transport.set_loss}).
 
     One {!t} is normally shared by every node of an in-process
-    {!Cluster}: senders consult it before handing a frame to the
-    writer thread, which makes a [crash i] symmetric (node [i] can
-    neither be heard nor heard from) without reaching into [i]'s
+    {!Cluster}. A transport consults it when a frame is sent, again
+    when its reactor serializes the frame for the socket, and again
+    when a frame arrives. That makes a [crash i] symmetric (node [i]
+    can neither be heard nor heard from) without reaching into [i]'s
     process state. A "crashed" node keeps running its local timers —
     to its peers it is indistinguishable from a fail-stop crash, and
     the protocol's epoch machinery must cope with whatever it does
     when (if) it is recovered.
 
-    All operations are thread-safe; the loss draw uses a seeded RNG so
-    a chaos run is reproducible given its seed and schedule. *)
-
-(** Decision for one frame, same shape as [Simkit.Network.verdict]. *)
-type verdict =
-  | Deliver  (** Hand to the writer thread normally. *)
-  | Drop  (** Silently lose the frame (counted by the transport). *)
-  | Delay of float  (** Hold the frame this many seconds first. *)
-
-(** One step of a chaos schedule (see {!Cluster.chaos}). *)
-type event =
-  | Set_loss of float  (** Uniform i.i.d. frame-drop probability. *)
-  | Crash of int  (** Sever a node from the network (crash-stop). *)
-  | Recover of int
-  | Restart of { node : int; after : float }
-      (** Sever [node] now and automatically recover it [after]
-          seconds later (on a helper thread — the caller's schedule is
-          not blocked). Network-level only: the node's in-memory state
-          survives the outage. A full process-style restart that
-          rebuilds the node from its durable state directory is
-          [Cluster]'s restart events. *)
-  | Partition of int list list
-      (** Frames between nodes in different groups are dropped; nodes
-          absent from every group form an implicit extra group. *)
-  | Heal  (** Remove any partition. *)
-
-type schedule = (float * event) list
-(** Events paired with wall-clock offsets (seconds from schedule
-    start). *)
+    All operations are thread-safe. *)
 
 type t
 
-val create : ?seed:int -> n:int -> unit -> t
-(** A fault injector for nodes [0 .. n-1], initially transparent
-    (no loss, no partition, nobody crashed). Node ids beyond [n]
-    (dynamically joined members) are accepted by every operation;
-    the internal tables grow on demand. *)
+val create : unit -> t
+(** A fault injector, initially transparent (no partition, nobody
+    crashed). Every operation accepts any non-negative node id,
+    including those of members that join later. *)
 
-val n : t -> int
-
-val set_loss : t -> float -> unit
 val crash : t -> int -> unit
+(** Sever a node from the network (crash-stop). *)
+
 val recover : t -> int -> unit
 val is_crashed : t -> int -> bool
+
 val partition : t -> int list list -> unit
+(** Frames between nodes in different groups are dropped; nodes absent
+    from every group form an implicit extra group. *)
+
 val heal : t -> unit
-
-val set_interceptor : t -> (src:int -> dst:int -> string -> verdict) -> unit
-(** Targeted fault hook consulted for every surviving frame (after
-    connectivity and the loss draw); sees the encoded payload.
-    Replaces any previous interceptor. *)
-
-val clear_interceptor : t -> unit
+(** Remove any partition. *)
 
 val reachable : t -> src:int -> dst:int -> bool
 (** Whether frames from [src] to [dst] currently pass the crash and
-    partition filters. No loss draw, no interceptor: used by writer
-    threads to re-check connectivity at write time for frames that
-    were queued before a crash or partition landed. *)
-
-val verdict : t -> src:int -> dst:int -> string -> verdict
-(** Full decision for one frame: crash/partition, then the seeded loss
-    draw, then the interceptor. *)
-
-val drops : t -> int
-(** Frames this injector has told callers to drop so far. *)
-
-val apply : t -> event -> unit
-val pp_event : Format.formatter -> event -> unit
+    partition filters. *)

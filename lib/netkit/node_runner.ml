@@ -484,7 +484,7 @@ struct
   let create ?(on_grant = fun ~lock:_ -> ()) ?fault ?heartbeat_period
       ?(suspect_timeout = 1.0) ?(on_suspect = fun _ -> ())
       ?(on_alive = fun _ -> ()) ?seed ?(locks = [ default_lock ]) ?initial
-      ?store ?persist ?obs ?trace ?flush_us ?io_domains cfg ~me ~peers () =
+      ?store ?persist ?obs ?trace ?io_domains cfg ~me ~peers () =
     if locks = [] then
       invalid_arg "Node_runner.create: at least one lock key required";
     let live_period =
@@ -645,8 +645,8 @@ struct
     let on_heartbeat ~src = heard t src in
     t.transport <-
       Some
-        (Transport.create ?fault ?heartbeat_period ?seed ?obs ?flush_us
-           ?io_domains ~on_heartbeat ~me ~peers ~on_frame ());
+        (Transport.create ?fault ?heartbeat_period ?seed ?obs ?io_domains
+           ~on_heartbeat ~me ~peers ~on_frame ());
     ignore (Thread.create timer_loop t);
     t
 
@@ -869,6 +869,7 @@ struct
     List.rev !l
 
   let set_loss t p =
+    Dmutex.Types.check_loss "Node_runner.set_loss" p;
     match t.transport with
     | Some tr -> Transport.set_loss tr p
     | None -> ()

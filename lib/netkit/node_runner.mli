@@ -40,7 +40,6 @@ module Make
     ?persist:(A.state -> Dmutex_store.Store.view) ->
     ?obs:Dmutex_obs.Registry.t ->
     ?trace:Dmutex_obs.Events.sink ->
-    ?flush_us:int ->
     ?io_domains:int ->
     Dmutex.Types.Config.t ->
     me:int ->
@@ -94,10 +93,9 @@ module Make
       suspicions are recorded with the node id (and lock key, where
       one applies) attached.
 
-      [flush_us] and [io_domains] tune the transport's coalesced-flush
-      timer and reactor pool size (see {!Transport.create}); the
-      defaults — flush on the next reactor pass, one I/O domain — are
-      right for most deployments. *)
+      [io_domains] sizes the transport's reactor pool (see
+      {!Transport.create}); the default of one I/O domain is right for
+      most deployments. *)
 
   val id : t -> int
   (** This node's id (the [me] passed at [create]). *)
@@ -202,7 +200,8 @@ module Make
 
   val set_loss : t -> float -> unit
   (** Drop outgoing frames with this probability (chaos testing; see
-      {!Transport.set_loss}). *)
+      {!Transport.set_loss}).
+      @raise Invalid_argument if [p] is outside [\[0, 1\]] or NaN. *)
 
   val inject : ?lock:string -> t -> (A.message, A.timer) Dmutex.Types.input -> unit
   (** Feed an arbitrary input to one instance's state machine — test

@@ -7,7 +7,7 @@
    via [Simkit.Domainx]) over non-blocking sockets:
 
    - outbound frames land in a per-peer ring buffer; the owning
-     reactor serializes every due frame — across all lock instances
+     reactor serializes every queued frame — across all lock instances
      multiplexed on the connection — into one pooled flush buffer and
      pushes it with one [write] (a coalesced flush);
    - inbound bytes are read into a per-connection pooled buffer and
@@ -15,17 +15,14 @@
      allocation beyond the payload string handed to [on_frame];
    - heartbeats piggyback on traffic: a beacon is only emitted for a
      peer the transport has not written to for a full period, because
-     any frame proves liveness to the receiver's monitor;
-   - an optional flush timer ([?flush_us] / [DMUTEX_FLUSH_US], default
-     0 = flush on the next reactor pass) delays frames briefly so more
-     of them share one syscall, bounding added latency by the knob.
+     any frame proves liveness to the receiver's monitor.
 
    Supervision semantics are unchanged from the writer-thread design:
    bounded per-peer queues shed new frames when full, reconnects use
    capped exponential backoff with jitter, a frame gets a bounded
    number of connect attempts before it is shed (DME tolerates loss by
-   design), chaos [Fault] verdicts are honoured both at send time and
-   again at flush time, and the full metrics contract
+   design), the chaos [Fault] connectivity filter is honoured at send,
+   flush and receive time, and the full metrics contract
    (sent/delivered/dropped/retries/reconnects, mirrored into [?obs])
    survives, extended with flush observability
    (flushes/frames-per-flush). *)
@@ -110,7 +107,6 @@ type item = {
   i_lock : string;
   i_payload : string;
   i_counted : bool;
-  i_not_before : float;
   mutable i_attempts : int;
 }
 
@@ -128,7 +124,6 @@ module Ring = struct
       i_lock = "";
       i_payload = "";
       i_counted = false;
-      i_not_before = 0.0;
       i_attempts = 0;
     }
 
@@ -157,8 +152,6 @@ module Ring = struct
     t.head <- (t.head + Array.length t.buf - 1) mod Array.length t.buf;
     t.buf.(t.head) <- it;
     t.len <- t.len + 1
-
-  let peek t = if t.len = 0 then None else Some t.buf.(t.head)
 
   let pop t =
     let it = t.buf.(t.head) in
@@ -240,7 +233,6 @@ type t = {
   max_queue : int;
   heartbeat_period : float option;
   hb_next : float ref; (* reactor-0 owned *)
-  flush_s : float; (* flush timer in seconds; 0 = next pass *)
   obs : obs_handles option;
   stats : Mutex.t;
   mutable sent : int;
@@ -318,7 +310,7 @@ let uncork t =
 (* ------------------------------------------------------------------ *)
 (* Send path (any thread).                                             *)
 
-let enqueue t ~dst ~counted ~not_before ~kind ~lock payload =
+let enqueue t ~dst ~counted ~kind ~lock payload =
   let pe = t.ps.(dst) in
   Mutex.lock pe.mu;
   let ok =
@@ -334,7 +326,6 @@ let enqueue t ~dst ~counted ~not_before ~kind ~lock payload =
           i_lock = lock;
           i_payload = payload;
           i_counted = counted;
-          i_not_before = not_before;
           i_attempts = 0;
         };
       true
@@ -360,31 +351,19 @@ let send_kind t ~dst ~lock ~counted kind payload =
       Mutex.unlock t.stats;
       l
     in
-    if lost then begin
+    let severed =
+      match t.fault with
+      | None -> false
+      | Some f -> not (Fault.reachable f ~src:t.me ~dst)
+    in
+    if lost || severed then begin
       (* Chaos mode: the network ate it. The caller sees success (that
          is the point) but the counters record a drop, never a send —
          matching [Simkit.Network] accounting. *)
       count_dropped t counted;
       true
     end
-    else
-      let flush_after =
-        if t.flush_s > 0.0 then Unix.gettimeofday () +. t.flush_s else 0.0
-      in
-      match t.fault with
-      | None -> enqueue t ~dst ~counted ~not_before:flush_after ~kind ~lock payload
-      | Some f -> (
-          match Fault.verdict f ~src:t.me ~dst payload with
-          | Fault.Drop ->
-              count_dropped t counted;
-              true
-          | Fault.Deliver ->
-              enqueue t ~dst ~counted ~not_before:flush_after ~kind ~lock
-                payload
-          | Fault.Delay d ->
-              enqueue t ~dst ~counted
-                ~not_before:(Float.max flush_after (Unix.gettimeofday () +. d))
-                ~kind ~lock payload)
+    else enqueue t ~dst ~counted ~kind ~lock payload
   end
 
 let send t ~dst ?(lock = "") payload =
@@ -455,40 +434,36 @@ let conn_broken t pe fd =
   pe.next_attempt <- now +. jittered t pe.backoff;
   pe.backoff <- Float.min backoff_cap (pe.backoff *. 2.0)
 
-(* Serialize every due frame (bounded by [flush_bytes_cap]) into the
-   peer's pooled flush buffer. Returns the deadline of the nearest
-   not-yet-due frame, if any. Chaos connectivity is re-checked per
+let ring_pending pe =
+  Mutex.lock pe.mu;
+  let n = Ring.length pe.ring in
+  Mutex.unlock pe.mu;
+  n > 0
+
+(* Serialize queued frames (bounded by [flush_bytes_cap]) into the
+   peer's pooled flush buffer. Chaos connectivity is re-checked per
    frame so a frame queued just before a crash/partition still
    honours it. *)
-let refill t pe now =
+let refill t pe =
   Flush.reset pe.fb;
   pe.fb_pos <- 0;
   pe.inflight <- [];
-  let next = ref None in
   let frames = ref 0 in
   Mutex.lock pe.mu;
-  let rec take () =
-    if Flush.length pe.fb < flush_bytes_cap then
-      match Ring.peek pe.ring with
-      | Some it when it.i_not_before <= now ->
-          let it = Ring.pop pe.ring in
-          let reachable =
-            match t.fault with
-            | None -> true
-            | Some f -> Fault.reachable f ~src:t.me ~dst:pe.dst
-          in
-          if reachable then begin
-            Flush.add_frame pe.fb ~src:t.me ~lock:it.i_lock it.i_kind
-              it.i_payload;
-            incr frames;
-            pe.inflight <- (it, Flush.length pe.fb) :: pe.inflight
-          end
-          else count_dropped t it.i_counted;
-          take ()
-      | Some it -> next := Some it.i_not_before
-      | None -> ()
-  in
-  take ();
+  while Flush.length pe.fb < flush_bytes_cap && Ring.length pe.ring > 0 do
+    let it = Ring.pop pe.ring in
+    let reachable =
+      match t.fault with
+      | None -> true
+      | Some f -> Fault.reachable f ~src:t.me ~dst:pe.dst
+    in
+    if reachable then begin
+      Flush.add_frame pe.fb ~src:t.me ~lock:it.i_lock it.i_kind it.i_payload;
+      incr frames;
+      pe.inflight <- (it, Flush.length pe.fb) :: pe.inflight
+    end
+    else count_dropped t it.i_counted
+  done;
   Mutex.unlock pe.mu;
   pe.inflight <- List.rev pe.inflight;
   if !frames > 0 then begin
@@ -497,27 +472,12 @@ let refill t pe now =
         Dmutex_obs.Registry.Histogram.observe h.o_frames_per_flush
           (float_of_int !frames)
     | None -> ()
-  end;
-  !next
-
-let ring_has_due pe now =
-  Mutex.lock pe.mu;
-  let due =
-    match Ring.peek pe.ring with
-    | Some it -> it.i_not_before <= now
-    | None -> false
-  in
-  Mutex.unlock pe.mu;
-  due
+  end
 
 (* Push the flush buffer out; top it up and keep writing while the
    socket accepts whole buffers. *)
-let rec flush_peer t pe fd now upd =
-  if pe.fb_pos >= Flush.length pe.fb then begin
-    match refill t pe now with
-    | Some d -> upd d
-    | None -> ()
-  end;
+let rec flush_peer t pe fd now =
+  if pe.fb_pos >= Flush.length pe.fb then refill t pe;
   let remaining = Flush.length pe.fb - pe.fb_pos in
   if remaining = 0 then set_write_interest t pe fd false
   else
@@ -540,13 +500,13 @@ let rec flush_peer t pe fd now upd =
         in
         settle ();
         if pe.fb_pos < Flush.length pe.fb then set_write_interest t pe fd true
-        else if ring_has_due pe now then flush_peer t pe fd now upd
+        else if ring_pending pe then flush_peer t pe fd now
         else set_write_interest t pe fd false
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         set_write_interest t pe fd true
     | exception (Unix.Unix_error _ | Sys_error _) -> conn_broken t pe fd
 
-let on_connected t pe fd now upd =
+let on_connected t pe fd now =
   pe.conn <- On fd;
   if pe.connected_once then begin
     bump t (fun t -> t.reconnects <- t.reconnects + 1);
@@ -554,7 +514,7 @@ let on_connected t pe fd now upd =
   end;
   pe.connected_once <- true;
   pe.backoff <- backoff_floor;
-  flush_peer t pe fd now upd
+  flush_peer t pe fd now
 
 let rec start_connect t pe now upd =
   let ep = pe.endpoint in
@@ -568,7 +528,7 @@ let rec start_connect t pe now upd =
       Reactor.add (reactor_of t pe) fd ~read:false ~write:false
         (fun ~readable:_ ~writable:_ ->
           conn_event t pe fd);
-      on_connected t pe fd now upd
+      on_connected t pe fd now
   | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) ->
       let deadline = now +. connect_timeout in
       pe.conn <- Connecting (fd, deadline);
@@ -591,11 +551,11 @@ and conn_event t pe fd =
         match Unix.getsockopt_error fd with
         | None ->
             Reactor.modify (reactor_of t pe) fd ~read:false ~write:false;
-            on_connected t pe fd now (fun _ -> ())
+            on_connected t pe fd now
         | Some _ ->
             close_conn_fd t pe fd;
             connect_failed t pe now)
-    | On cfd when cfd = fd -> flush_peer t pe fd now (fun _ -> ())
+    | On cfd when cfd = fd -> flush_peer t pe fd now
     | _ -> ()
 
 (* A peer the view excised: tear the connection down and drain its
@@ -618,14 +578,9 @@ let service_peer t pe now upd =
   if Atomic.get pe.retired then drain_retired t pe
   else
   match pe.conn with
-  | On fd -> if ring_has_due pe now || pe.fb_pos < Flush.length pe.fb then flush_peer t pe fd now upd else begin
-      (* Idle connection: still surface the wake-up for delayed frames. *)
-      Mutex.lock pe.mu;
-      (match Ring.peek pe.ring with
-      | Some it -> upd it.i_not_before
-      | None -> ());
-      Mutex.unlock pe.mu
-    end
+  | On fd ->
+      if ring_pending pe || pe.fb_pos < Flush.length pe.fb then
+        flush_peer t pe fd now
   | Connecting (fd, deadline) ->
       if now >= deadline then begin
         close_conn_fd t pe fd;
@@ -634,13 +589,7 @@ let service_peer t pe now upd =
       end
       else upd deadline
   | Off ->
-      let pending =
-        Mutex.lock pe.mu;
-        let n = Ring.length pe.ring in
-        Mutex.unlock pe.mu;
-        n > 0
-      in
-      if pending then
+      if ring_pending pe then
         if now >= pe.next_attempt then start_connect t pe now upd
         else upd pe.next_attempt
 
@@ -830,15 +779,12 @@ let make_peer ~n_io ~max_queue ~retired dst endpoint =
   }
 
 let create ?fault ?heartbeat_period ?(max_queue = 1024) ?(seed = 0x10ad)
-    ?(on_heartbeat = fun ~src:_ -> ()) ?obs ?flush_us ?io_domains ~me ~peers
+    ?(on_heartbeat = fun ~src:_ -> ()) ?obs ?io_domains ~me ~peers
     ~on_frame () =
   (* A write to a peer that closed mid-stream must surface as [EPIPE]
      for the flush path to handle, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let flush_us =
-    match flush_us with Some v -> v | None -> env_int "DMUTEX_FLUSH_US" 0
-  in
   let n_io =
     max 1 (match io_domains with
           | Some v -> v
@@ -872,7 +818,6 @@ let create ?fault ?heartbeat_period ?(max_queue = 1024) ?(seed = 0x10ad)
       max_queue;
       heartbeat_period;
       hb_next = ref (now +. Option.value ~default:0.0 heartbeat_period);
-      flush_s = float_of_int flush_us /. 1_000_000.0;
       obs =
         Option.map
           (fun reg ->
@@ -917,7 +862,9 @@ let create ?fault ?heartbeat_period ?(max_queue = 1024) ?(seed = 0x10ad)
   Array.iter Reactor.start reactors;
   t
 
-let set_loss t p = bump t (fun t -> t.loss <- p)
+let set_loss t p =
+  Dmutex.Types.check_loss "Transport.set_loss" p;
+  bump t (fun t -> t.loss <- p)
 let sent t = t.sent
 
 (* ------------------------------------------------------------------ *)

@@ -11,7 +11,7 @@
     loops ({!Reactor}, one domain each). Outbound frames land in a
     bounded per-peer ring buffer; the owning reactor (re)connects
     lazily with capped exponential backoff and jitter, serializes
-    every due frame for a peer into one pooled buffer and flushes it
+    every queued frame for a peer into one pooled buffer and flushes it
     with one [write] syscall (a {e coalesced flush}). A dead or slow
     peer can therefore only stall its own ring — never sends to the
     rest of the cluster — and transient socket errors requeue the
@@ -31,7 +31,7 @@ type metrics = {
   sent : int;  (** Data frames successfully handed to the kernel. *)
   delivered : int;  (** Inbound data frames handed to [on_frame]. *)
   dropped : int;
-      (** Frames lost to chaos (loss draw, fault verdicts), to a full
+      (** Frames lost to chaos (loss draw, {!Fault} connectivity), to a full
           send queue, or shed after the per-frame retry budget against
           an unreachable peer. Never also counted in [sent]. *)
   retries : int;  (** Failed connect/write attempts that were retried. *)
@@ -54,7 +54,6 @@ val create :
   ?seed:int ->
   ?on_heartbeat:(src:int -> unit) ->
   ?obs:Dmutex_obs.Registry.t ->
-  ?flush_us:int ->
   ?io_domains:int ->
   me:int ->
   peers:endpoint array ->
@@ -69,9 +68,10 @@ val create :
     the sender's id, so [src] is trustworthy only on a trusted network
     — this is a research runtime, not an authenticated one.
 
-    [fault] installs a chaos interceptor consulted for every outgoing
-    frame (and re-checked for connectivity at flush and receive time);
-    normally one injector shared by a whole in-process cluster.
+    [fault] installs a connectivity filter (crash-stop and partitions)
+    checked when a frame is sent, again when the reactor serializes
+    it, and when a frame arrives; normally one injector shared by a
+    whole in-process cluster.
     [heartbeat_period] > 0 emits a transport heartbeat to every peer
     each period — except peers some frame was already written to
     within the period, whose traffic {e piggybacks} the liveness
@@ -83,10 +83,9 @@ val create :
     ({!Dmutex_obs.Names}); [metrics] reads additionally sample the
     queue depth into its gauge.
 
-    [flush_us] (default [DMUTEX_FLUSH_US] or 0) holds each frame back
-    up to that many microseconds so more frames share one coalesced
-    flush; 0 flushes on the next reactor pass, which already batches
-    whatever a protocol step produced. [io_domains] (default
+    Every queued frame goes out on the next reactor pass, which
+    already batches whatever a protocol step produced (see {!cork}).
+    [io_domains] (default
     [DMUTEX_IO_DOMAINS] or 1) sizes the reactor pool; peers are
     assigned round-robin. *)
 
@@ -96,10 +95,10 @@ val send : t -> dst:int -> ?lock:string -> string -> bool
     is closed, [dst] is this node or out of range, or the ring is full
     — [true] means {e accepted}, not yet written: the owning reactor
     delivers (or retries and eventually sheds) it asynchronously. A
-    frame eaten by chaos ({!set_loss} or a [fault] verdict) also
-    returns [true]: to the caller the network ate it, which is exactly
-    what the Section 6 machinery must tolerate; the counters record it
-    as [dropped] and never as [sent]. *)
+    frame eaten by chaos ({!set_loss}, or a [fault] that severs [dst])
+    also returns [true]: to the caller the network ate it, which is
+    exactly what the Section 6 machinery must tolerate; the counters
+    record it as [dropped] and never as [sent]. *)
 
 val broadcast : t -> ?lock:string -> string -> int
 (** Send to every other peer; returns how many frames were accepted.
@@ -120,8 +119,10 @@ val uncork : t -> unit
 val set_loss : t -> float -> unit
 (** Drop each outgoing frame with this probability {e before} it
     reaches the socket — chaos testing for the Section 6 machinery on
-    a real network (TCP itself never loses accepted data). Applied
-    independently of (and before) any [fault] injector. *)
+    a real network (TCP itself never loses accepted data). This is the
+    live stack's only loss draw; the [fault] injector filters
+    connectivity alone, after it.
+    @raise Invalid_argument if [p] is outside [\[0, 1\]] or NaN. *)
 
 val sent : t -> int
 (** Data frames successfully handed to the kernel so far. *)

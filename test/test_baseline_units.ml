@@ -375,31 +375,30 @@ let test_fault_plan_validation () =
      capability error arrives at injection time... *)
   let module R = Dmutex.Sim_runner.Make (Baselines.Suzuki_kasami) in
   let t = R.create ~seed:1 (Config.default ~n:4) in
-  let plan =
-    [
-      Dmutex.Sim_runner.Crash_at { node = 1; at = 5.0; restart_after = None };
-    ]
-  in
+  let plan = [ (5.0, Crash 1) ] in
   (match R.apply_faults t plan with
   | () -> Alcotest.fail "unsupported plan accepted"
   | exception Unsupported_fault msg ->
       Alcotest.(check bool) "error names the algorithm" true
         (Str_present.contains_substring msg "suzuki"));
+  (* A partition loses messages, so it needs loss support too. *)
+  Alcotest.(check bool) "baseline refuses a partition" true
+    (match R.apply_faults t [ (1.0, Partition [ [ 0; 1 ]; [ 2; 3 ] ]) ] with
+    | () -> false
+    | exception Unsupported_fault _ -> true);
   (* ...while the protocol's own family accepts the same plan. *)
   let module RP = Dmutex.Sim_runner.Make (Dmutex.Basic) in
   let tp = RP.create ~seed:1 (Dmutex.Basic.config ~n:4 ()) in
   RP.apply_faults tp plan;
   (* Out-of-range entries are Invalid_argument, not capability errors. *)
-  Alcotest.(check bool) "bad node rejected" true
-    (match
-       RP.apply_faults tp
-         [
-           Dmutex.Sim_runner.Crash_at
-             { node = 9; at = 1.0; restart_after = None };
-         ]
-     with
+  let invalid plan =
+    match RP.apply_faults tp plan with
     | () -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "bad node rejected" true (invalid [ (1.0, Crash 9) ]);
+  Alcotest.(check bool) "bad partition id rejected" true
+    (invalid [ (1.0, Partition [ [ 0; 1 ]; [ 2; 4 ] ]) ])
 
 let suite =
   ( "baseline-units",

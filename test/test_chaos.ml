@@ -268,12 +268,12 @@ let test_chaos_soak () =
   in
   RCluster.chaos cluster
     [
-      (0.0, RCluster.Fault (Netkit.Fault.Set_loss 0.07));
+      (0.0, RCluster.Fault (Loss 0.07));
       (1.5, RCluster.Crash_where ("token-holder", select_token_holder n));
       (4.5, RCluster.Crash_where ("watched-arbiter", select_watched_arbiter n));
-      (7.5, RCluster.Fault (Netkit.Fault.Partition [ [ 0; 1; 2 ]; [ 3; 4 ] ]));
-      (9.5, RCluster.Fault Netkit.Fault.Heal);
-      (11.0, RCluster.Fault (Netkit.Fault.Set_loss 0.0));
+      (7.5, RCluster.Fault (Partition [ [ 0; 1; 2 ]; [ 3; 4 ] ]));
+      (9.5, RCluster.Fault Heal);
+      (11.0, RCluster.Fault (Loss 0.0));
     ];
   RCluster.wait_chaos cluster;
   (* Post-fault convergence: every surviving node must keep getting
@@ -355,6 +355,16 @@ let test_empty_schedule_baseline () =
     RCluster.launch ~base_port:8551 ~seed:chaos_seed ~heartbeat_period:0.2
       ~suspect_timeout:0.8 (soak_cfg n)
   in
+  (* A bad loss probability is refused before anything runs, by the
+     schedule and by a node alike. *)
+  Alcotest.(check bool) "chaos refuses loss 1.5" true
+    (match RCluster.chaos cluster [ (0.0, RCluster.Fault (Loss 1.5)) ] with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "node refuses loss nan" true
+    (match RCluster.Node.set_loss (RCluster.node cluster 0) Float.nan with
+    | () -> false
+    | exception Invalid_argument _ -> true);
   RCluster.chaos cluster [];
   RCluster.wait_chaos cluster;
   let rounds = 4 in
@@ -372,7 +382,16 @@ let test_empty_schedule_baseline () =
   done;
   let m = RCluster.metrics cluster in
   let recovery = RCluster.note_count cluster "recovery-started" in
+  (* A [Loss] event reaches every node's transport: at 1.0 the next
+     request's frames are eaten (nothing was dropped before). *)
+  RCluster.chaos cluster [ (0.0, RCluster.Fault (Loss 1.0)) ];
+  RCluster.wait_chaos cluster;
+  ignore
+    (RCluster.Node.with_lock ~timeout:0.3 (RCluster.node cluster 1) ignore);
+  let lossy = RCluster.metrics cluster in
   RCluster.shutdown cluster;
+  Alcotest.(check bool) "Loss 1.0 reaches the transports" true
+    (lossy.Netkit.Transport.dropped > 0);
   let mean =
     List.fold_left ( +. ) 0.0 !latencies
     /. float_of_int (List.length !latencies)
@@ -793,7 +812,7 @@ let test_restart_soak () =
             select = select_collecting_arbiter n;
             after = 0.6;
           } );
-      (7.0, RCluster.Restart { node = 0; after = 0.4 });
+      (7.0, RCluster.Fault (Restart { node = 0; after = 0.4 }));
     ];
   RCluster.wait_chaos cluster;
   (* Post-restart convergence: every node — the restarted ones

@@ -132,6 +132,24 @@ let test_message_mix () =
     true
     (abs_float (sat_total -. 2.8) < 0.02)
 
+let test_faults_pinned () =
+  (* The resilient row of the lab's quick table:faults. Any drift
+     means the default plan no longer replays the same events at the
+     same simulated times and in the same order. *)
+  let rows = Experiments.table_faults ~n:10 ~requests:1_000 () in
+  let r =
+    List.find
+      (fun (r : Experiments.fault_row) ->
+        r.fault_algorithm = "this-paper (resilient)")
+      rows
+  in
+  Alcotest.(check int) "completed" 1_000 r.fault_completed;
+  Alcotest.(check (float 1e-9)) "messages per CS" 3.228 r.fault_msgs;
+  Alcotest.(check int) "unserved" 10 r.fault_unserved;
+  Alcotest.(check int) "every baseline refuses the plan" 1
+    (List.length
+       (List.filter (fun (r : Experiments.fault_row) -> r.supported) rows))
+
 let test_print_functions () =
   (* Rendering must not raise on any shape, including empty input. *)
   let buf = Buffer.create 256 in
@@ -158,5 +176,6 @@ let suite =
       Alcotest.test_case "all-algorithms table" `Slow
         test_all_algorithms_table;
       Alcotest.test_case "message mix terms" `Slow test_message_mix;
+      Alcotest.test_case "table:faults pinned" `Quick test_faults_pinned;
       Alcotest.test_case "printers total" `Quick test_print_functions;
     ] )

@@ -36,6 +36,46 @@ let test_no_fault_baseline () =
   Alcotest.(check int) "all served" 0 o.unserved;
   Alcotest.(check int) "no recoveries triggered" 0 (note o "recovery-started")
 
+let test_loss_probability_validated () =
+  (* 1.5 would drop every message and nan none, both silently: either
+     entry point refuses them. *)
+  let t = R.create ~seed:1 (cfg ()) in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Printf.sprintf "set_loss %g rejected" p) true
+        (match R.set_loss t p with
+        | () -> false
+        | exception Invalid_argument _ -> true);
+      Alcotest.(check bool) (Printf.sprintf "Loss %g rejected" p) true
+        (match R.apply_faults t [ (1.0, Types.Loss p) ] with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ 1.5; -0.1; Float.nan ]
+
+let test_partition_heal () =
+  (* A 5|3 split for 10 s, then healed: the majority side may
+     regenerate, but never alongside a live token, and service goes on
+     after the heal. *)
+  let n = 8 in
+  let t = R.create ~seed:5 (cfg ~n ()) in
+  let heal_at = 30.0 in
+  let after_heal = ref 0 in
+  R.on_grant t (fun ~node:_ ~delay:_ ->
+      if Simkit.Engine.now (R.engine t) > heal_at +. 5.0 then incr after_heal);
+  let o =
+    R.saturate ~requests:max_int
+      ~faults:
+        [
+          (20.0, Types.Partition [ [ 0; 1; 2; 3; 4 ]; [ 5; 6; 7 ] ]);
+          (heal_at, Types.Heal);
+        ]
+      ~until:120.0 t
+  in
+  Alcotest.(check int) "no violations" 0 o.safety_violations;
+  Alcotest.(check bool)
+    (Printf.sprintf "service resumed after the heal (%d grants)" !after_heal)
+    true (!after_heal > 100)
+
 let test_token_holder_crash () =
   let n = 8 in
   let t = R.create ~seed:2 (cfg ~n ()) in
@@ -488,6 +528,9 @@ let suite =
     [
       Alcotest.test_case "healthy run untouched" `Quick test_no_fault_baseline;
       Alcotest.test_case "token holder crash" `Quick test_token_holder_crash;
+      Alcotest.test_case "loss probability validated" `Quick
+        test_loss_probability_validated;
+      Alcotest.test_case "partition then heal" `Quick test_partition_heal;
       Alcotest.test_case "privilege message drop" `Quick test_privilege_drop;
       Alcotest.test_case "arbiter crash and takeover" `Quick
         test_arbiter_crash_takeover;

@@ -518,9 +518,9 @@ let test_cork_coalesces_multi_lock () =
         lock)
     batch
 
-let test_flush_timer_liveness () =
-  (* A flush timer must delay frames, not lose them — and an empty
-     ring between sends must not wedge the reactor's timer path. *)
+let test_send_after_drained_ring () =
+  (* An empty ring between sends must not wedge the reactor: a frame
+     sent after the ring has drained still lands. *)
   let tr, snapshot = listener ~port:8737 ~peer_port:8738 in
   let peers =
     [|
@@ -529,18 +529,16 @@ let test_flush_timer_liveness () =
     |]
   in
   let sender =
-    Netkit.Transport.create ~me:1 ~peers ~flush_us:3000
-      ~on_frame:(fun ~src:_ ~lock:_ _ -> ())
-      ()
+    Netkit.Transport.create ~me:1 ~peers ~on_frame:(fun ~src:_ ~lock:_ _ -> ()) ()
   in
-  ignore (Netkit.Transport.send sender ~dst:0 "timed-1");
-  Alcotest.(check bool) "frame delivered despite flush delay" true
-    (wait_for (fun () -> List.mem (1, "", "timed-1") (snapshot ())));
+  ignore (Netkit.Transport.send sender ~dst:0 "first");
+  Alcotest.(check bool) "first frame delivered" true
+    (wait_for (fun () -> List.mem (1, "", "first") (snapshot ())));
   (* Let the ring drain completely, then prove the loop still runs. *)
   Thread.delay 0.2;
-  ignore (Netkit.Transport.send sender ~dst:0 "timed-2");
+  ignore (Netkit.Transport.send sender ~dst:0 "second");
   Alcotest.(check bool) "second frame delivered after idle ring" true
-    (wait_for (fun () -> List.mem (1, "", "timed-2") (snapshot ())));
+    (wait_for (fun () -> List.mem (1, "", "second") (snapshot ())));
   ignore
     (wait_for (fun () -> (Netkit.Transport.metrics sender).Netkit.Transport.sent >= 2));
   let m = Netkit.Transport.metrics sender in
@@ -548,6 +546,84 @@ let test_flush_timer_liveness () =
   Netkit.Transport.close tr;
   Alcotest.(check int) "nothing dropped" 0 m.Netkit.Transport.dropped;
   Alcotest.(check int) "both counted sent" 2 m.Netkit.Transport.sent
+
+(* A sender on [port + 1] sharing [fault] with the test, aimed at a
+   [listener] on [port], with the connection already established. *)
+let faulty_pair ~port fault =
+  let tr, snapshot = listener ~port ~peer_port:(port + 1) in
+  let peers =
+    [|
+      { Netkit.Transport.host = "127.0.0.1"; port };
+      { Netkit.Transport.host = "127.0.0.1"; port = port + 1 };
+    |]
+  in
+  let sender =
+    Netkit.Transport.create ~fault ~me:1 ~peers
+      ~on_frame:(fun ~src:_ ~lock:_ _ -> ())
+      ()
+  in
+  ignore (Netkit.Transport.send sender ~dst:0 "warmup");
+  Alcotest.(check bool) "warmup delivered" true
+    (wait_for (fun () -> List.mem (1, "", "warmup") (snapshot ())));
+  ignore
+    (wait_for (fun () ->
+         (Netkit.Transport.metrics sender).Netkit.Transport.sent >= 1));
+  (tr, snapshot, sender)
+
+let test_crashed_peer_drops () =
+  (* A frame to a peer severed by [Fault.crash] is eaten at send time:
+     accepted, counted dropped, never delivered. *)
+  let fault = Netkit.Fault.create () in
+  let tr, snapshot, sender = faulty_pair ~port:8745 fault in
+  Netkit.Fault.crash fault 0;
+  Alcotest.(check bool) "send to a crashed peer reports success" true
+    (Netkit.Transport.send sender ~dst:0 "to-the-dead");
+  Thread.delay 0.2;
+  let m = Netkit.Transport.metrics sender in
+  Netkit.Transport.close sender;
+  Netkit.Transport.close tr;
+  Alcotest.(check int) "counted dropped" 1 m.Netkit.Transport.dropped;
+  Alcotest.(check int) "only the warmup counted sent" 1 m.Netkit.Transport.sent;
+  Alcotest.(check bool) "never delivered" false
+    (List.mem (1, "", "to-the-dead") (snapshot ()))
+
+let test_partition_inside_cork () =
+  (* A partition that lands after the send but before the flush: the
+     frame passed the send-time check, so only the reactor's re-check
+     when it serializes the ring can drop it. *)
+  let fault = Netkit.Fault.create () in
+  let tr, snapshot, sender = faulty_pair ~port:8747 fault in
+  Netkit.Transport.cork sender;
+  Alcotest.(check bool) "send accepted while connected" true
+    (Netkit.Transport.send sender ~dst:0 "cut-off");
+  Netkit.Fault.partition fault [ [ 0 ]; [ 1 ] ];
+  Netkit.Transport.uncork sender;
+  Alcotest.(check bool) "dropped at flush time" true
+    (wait_for (fun () ->
+         (Netkit.Transport.metrics sender).Netkit.Transport.dropped >= 1));
+  Thread.delay 0.2;
+  let m = Netkit.Transport.metrics sender in
+  Netkit.Transport.close sender;
+  Netkit.Transport.close tr;
+  Alcotest.(check int) "one frame dropped" 1 m.Netkit.Transport.dropped;
+  Alcotest.(check int) "only the warmup counted sent" 1 m.Netkit.Transport.sent;
+  Alcotest.(check bool) "never delivered" false
+    (List.mem (1, "", "cut-off") (snapshot ()))
+
+let test_loss_probability_validated () =
+  (* A loss probability outside [0, 1] (or NaN) is a usage error, not
+     a silent "drop everything" or "drop nothing". *)
+  let tr, _snapshot = listener ~port:8749 ~peer_port:8750 in
+  let rejected p =
+    match Netkit.Transport.set_loss tr p with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  let bad = List.filter (fun p -> not (rejected p)) [ 1.5; -0.1; Float.nan ] in
+  let good = List.filter rejected [ 0.0; 0.3; 1.0 ] in
+  Netkit.Transport.close tr;
+  Alcotest.(check (list (float 0.0))) "out-of-range values rejected" [] bad;
+  Alcotest.(check (list (float 0.0))) "probabilities accepted" [] good
 
 let test_reconnect_preserves_pending_ring () =
   (* Frames queued against a not-yet-listening endpoint must survive
@@ -747,8 +823,14 @@ let suite =
         test_partial_write_large_frames;
       Alcotest.test_case "cork coalesces multi-lock frames" `Quick
         test_cork_coalesces_multi_lock;
-      Alcotest.test_case "flush timer: delay without loss" `Quick
-        test_flush_timer_liveness;
+      Alcotest.test_case "send after drained ring lands" `Quick
+        test_send_after_drained_ring;
+      Alcotest.test_case "crashed peer: frame dropped" `Quick
+        test_crashed_peer_drops;
+      Alcotest.test_case "partition inside cork drops at flush" `Quick
+        test_partition_inside_cork;
+      Alcotest.test_case "loss probability validated" `Quick
+        test_loss_probability_validated;
       Alcotest.test_case "reconnect preserves pending ring" `Slow
         test_reconnect_preserves_pending_ring;
     ] )
