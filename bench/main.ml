@@ -357,14 +357,15 @@ let micro_tests =
     (* Wire codec: the token message that dominates traffic. *)
     (let tok =
        Dmutex.Protocol.Privilege
-         {
-           Dmutex.Protocol.tq =
-             List.init 10 (fun i -> Dmutex.Qlist.entry ~node:i ~seq:4 ());
-           granted = Array.make 10 3;
-           epoch = 1;
-           election = 99;
-           vepoch = 0;
-         }
+         ( {
+             Dmutex.Protocol.tq =
+               List.init 10 (fun i -> Dmutex.Qlist.entry ~node:i ~seq:4 ());
+             granted = Array.make 10 3;
+             epoch = 1;
+             election = 99;
+             vepoch = 0;
+           },
+           None )
      in
      let enc = Wire.Protocol_codec.encode tok in
      Test.make ~name:"kernel:codec-roundtrip"

@@ -54,6 +54,20 @@ type new_arbiter = {
    up at the next broadcast instead of dropping the new member's
    frames forever. *)
 
+type handover = {
+  ho_view : view;
+  ho_granted : Qlist.Granted.g option;
+  ho_epoch : int option;
+  ho_election : int option;
+  ho_monitor : (node_id * int) option;
+}
+(* The part of a NEW-ARBITER the token cannot supply, folded into the
+   PRIVILEGE of a singleton tail (Section 3.1) and of an excised
+   holder's hand-off. The Q-list is the token's and the announced
+   arbiter its tail (the receiver, for a singleton or an empty queue);
+   each optional field is [None] when the token already says the
+   same. *)
+
 type view_change = {
   vc_view : view;  (* the proposed / committed new view *)
   vc_commit : bool;  (* false = proposal (quorum phase), true = commit *)
@@ -67,7 +81,7 @@ type message =
   | Request of Qlist.entry
   | Monitor_request of Qlist.entry
       (* resubmission of a starving request directly to the monitor *)
-  | Privilege of token
+  | Privilege of token * handover option
   | Monitor_privilege of token
       (* token routed through the monitor without a NEW-ARBITER
          broadcast; the monitor broadcasts instead *)
@@ -610,6 +624,69 @@ let end_resync cfg ~now st =
     else (st, [])
 
 (* ------------------------------------------------------------------ *)
+(* Folded announcements (Section 3.1)                                  *)
+
+(* Fold an announcement into the PRIVILEGE that carries [token],
+   keeping only what the token does not already say; [unfold] is its
+   inverse at the receiver. The announced arbiter is the tail of the
+   token's queue, or the receiver when the queue is empty. *)
+let fold (na : new_arbiter) token =
+  let unless_token x tx = if x = tx then None else Some x in
+  { ho_view = na.na_view;
+    ho_granted = unless_token na.na_granted token.granted;
+    ho_epoch = unless_token na.na_epoch token.epoch;
+    ho_election = unless_token na.na_election token.election;
+    ho_monitor =
+      (if na.na_monitor = no_monitor then None
+       else Some (na.na_monitor, na.na_counter)) }
+
+let unfold st token ho =
+  let na_monitor, na_counter =
+    match ho.ho_monitor with Some mc -> mc | None -> (no_monitor, 0)
+  in
+  { na_arbiter =
+      (match Qlist.final_holder token.tq with Some t -> t | None -> st.me);
+    na_q = token.tq;
+    na_granted = Option.value ho.ho_granted ~default:token.granted;
+    na_counter;
+    na_monitor;
+    na_epoch = Option.value ho.ho_epoch ~default:token.epoch;
+    na_election = Option.value ho.ho_election ~default:token.election;
+    na_view = ho.ho_view }
+
+(* The hand-off of a token holder that has left the view: the token,
+   stamped with the committed view and drained of excised entries,
+   goes to the head of its queue (or the lowest survivor), announcing
+   the arbiter it will elect. The heir may not have the commit yet; the
+   folded announcement brings it the view with the token, so it never
+   holds a token newer than its view. *)
+let handoff_token st tk =
+  let tk =
+    { tk with
+      tq = List.filter (fun e -> is_member st.view e.Qlist.node) tk.tq;
+      vepoch = st.view.vnum }
+  in
+  let heir =
+    match tk.tq with
+    | e :: _ -> e.Qlist.node
+    | [] -> ( match member_ids st.view with h :: _ -> h | [] -> st.me)
+  in
+  if heir = st.me then []
+  else
+    let na =
+      { na_arbiter =
+          (match Qlist.final_holder tk.tq with Some t -> t | None -> heir);
+        na_q = tk.tq;
+        na_granted = st.granted_known;
+        na_counter = st.na_counter;
+        na_monitor = st.monitor;
+        na_epoch = st.token_epoch;
+        na_election = st.election;
+        na_view = st.view }
+    in
+    [ Send (heir, Privilege (tk, Some (fold na tk))) ]
+
+(* ------------------------------------------------------------------ *)
 (* Membership: adopting a committed view                               *)
 
 (* Adopt a newer committed view: every structure that can hold entries
@@ -699,22 +776,8 @@ let apply_view cfg ~now st (v : view) ~granted ~tepoch ~elec ~arbiter =
           Cancel_timer T_probe; Cancel_timer T_view ] )
     else
     (* We were excised. If the token is in our hands (a voluntary
-       leave committed by ourselves as coordinator), hand it — stamped
-       with the new view — to an heir before going dark: the queue
-       head if any requests survive, else the lowest surviving id. *)
-    let handoff =
-      match st.token with
-      | None -> []
-      | Some tk ->
-          let tk = { (absorb tk) with vepoch = v.vnum } in
-          let heir =
-            match tk.tq with
-            | e :: _ -> e.Qlist.node
-            | [] -> (
-                match member_ids v with h :: _ -> h | [] -> st.me)
-          in
-          if heir = st.me then [] else [ Send (heir, Privilege tk) ]
-    in
+       leave committed by ourselves as coordinator), hand it to an heir
+       before going dark (see [handoff_token]). *)
     let reader_done =
       (* Excised while reading under a READ-GRANT: best-effort answer
          so the coordinator's batch completes without waiting for its
@@ -723,7 +786,8 @@ let apply_view cfg ~now st (v : view) ~granted ~tepoch ~elec ~arbiter =
       | Some r -> [ Send (r.rg_from, Read_done { rd_seq = r.rg_seq }) ]
       | None -> []
     in
-    ( { st with
+    let st' =
+      { st with
         view = v;
         joining = false;
         pending_vc = None;
@@ -741,7 +805,14 @@ let apply_view cfg ~now st (v : view) ~granted ~tepoch ~elec ~arbiter =
         monitor_buffer = [];
         granted_known = Qlist.Granted.merge st.granted_known granted;
         token_epoch = max st.token_epoch tepoch;
-        election = max st.election elec },
+        election = max st.election elec }
+    in
+    let handoff =
+      match st.token with
+      | None -> []
+      | Some tk -> handoff_token st' (absorb tk)
+    in
+    ( st',
       reader_done @ handoff
       @ [ note_view v; Note (Custom "excised");
           Cancel_timer T_token; Cancel_timer T_retry;
@@ -927,26 +998,27 @@ let receive_monitor_request cfg ~now st e =
     | Normal | Forwarding _ ->
         ({ st with monitor_buffer = Qlist.enqueue e st.monitor_buffer }, [])
 
-(* Broadcast NEW-ARBITER for queue [q], honouring the Section 3.1
-   suppression option. A self-singleton is not announced when the
-   arbiter identity is unchanged ([prev_announced] is already us):
-   nobody's knowledge goes stale and Eq. 1 counts zero messages for
-   the requester-is-arbiter case. *)
-let announce cfg st ~prev_announced ~q ~counter ~next_monitor =
+(* Announce the arbiter elected by dispatching [token] with queue [q].
+   Returns the NEW-ARBITER sends and, under the Section 3.1 option,
+   the announcement folded for the tail's PRIVILEGE. A self-singleton
+   is not announced when the arbiter identity is unchanged
+   ([prev_announced] is already us): nobody's knowledge goes stale and
+   Eq. 1 counts zero messages for the requester-is-arbiter case. *)
+let announce cfg st ~prev_announced ~q ~counter ~next_monitor ~token =
   let tail = match Qlist.final_holder q with Some t -> t | None -> st.me in
-  let msg =
-    New_arbiter
-      {
-        na_arbiter = tail;
-        na_q = q;
-        na_granted = st.granted_known;
-        na_counter = counter;
-        na_monitor = next_monitor;
-        na_epoch = st.token_epoch;
-        na_election = st.election;
-        na_view = st.view;
-      }
+  let na =
+    {
+      na_arbiter = tail;
+      na_q = q;
+      na_granted = st.granted_known;
+      na_counter = counter;
+      na_monitor = next_monitor;
+      na_epoch = st.token_epoch;
+      na_election = st.election;
+      na_view = st.view;
+    }
   in
+  let msg = New_arbiter na in
   match q with
   | [ e ]
     when e.Qlist.node = st.me && prev_announced = st.me
@@ -956,16 +1028,18 @@ let announce cfg st ~prev_announced ~q ~counter ~next_monitor =
          announcement is what lets a healed partition discover (and
          invalidate) a superseded token universe; a silent self-serving
          arbiter would keep a split brain alive indefinitely. *)
-      []
-  | [ e ] when cfg.Config.skip_new_arbiter_to_tail ->
+      ([], None)
+  | [ e ] when cfg.Config.skip_new_arbiter_to_tail && e.Qlist.node <> st.me ->
       (* Send point-to-point to everyone except ourselves and the new
-         arbiter, which learns its election from the token itself. *)
-      List.filter_map
-        (fun dst ->
-          if dst = st.me || dst = e.Qlist.node then None
-          else Some (Send (dst, msg)))
-        (member_ids st.view)
-  | _ -> bcast cfg st msg
+         arbiter, which learns its election from the token itself and
+         the rest of the announcement from the PRIVILEGE. *)
+      ( List.filter_map
+          (fun dst ->
+            if dst = st.me || dst = e.Qlist.node then None
+            else Some (Send (dst, msg)))
+          (member_ids st.view),
+        Some (fold na token) )
+  | _ -> (bcast cfg st msg, None)
 
 (* Coordinator's patience for READ-DONE replies: at least one blind
    retry period, and at least a grant round-trip plus the CS itself. *)
@@ -988,7 +1062,7 @@ let read_grants token ~minor others =
    becomes the batch coordinator: it enters the CS and READ-GRANTs the
    rest of the run in one grant batch. A batch of one — every
    exclusive grant, and a solo reader — takes the unchanged path. *)
-let launch_token cfg ~now st token =
+let launch_token cfg ~now ?handover st token =
   let st = { st with last_token_seen = now } in
   match token.tq with
   | [] -> assert false
@@ -1023,24 +1097,41 @@ let launch_token cfg ~now st token =
                 Set_timer (T_rbatch, rbatch_delay cfg);
                 Cancel_timer T_token; Cancel_timer T_retry ] ))
   | head :: _ ->
-      ({ st with token = None }, [ Send (head.Qlist.node, Privilege token) ])
+      ( { st with token = None },
+        [ Send (head.Qlist.node, Privilege (token, handover)) ] )
 
 (* End of a collection window with the token in hand: Figure 1's
    dispatch step. *)
 let dispatch cfg ~now st =
   match (st.role, st.token) with
-  | Collecting _, Some _
+  | Collecting { anchor; _ }, Some token
     when (match st.pending_vc with
          | Some pv -> not pv.pv_committed
-         | None -> false) ->
-      (* A view-change proposal is awaiting its quorum: hold the token
-         (the serialization point for views) and try again shortly. *)
+         | None -> false)
+         || (token.vepoch > st.view.vnum
+            && now -. anchor < cfg.Config.retry_timeout) ->
+      (* Hold the token and try again shortly while a view-change
+         proposal awaits its quorum (the token is the serialization
+         point for views), or while the token is newer than our view —
+         its commit and announcement have not reached us yet.
+         Scheduling under the older view could elect an excised node,
+         and would stamp the token with a view epoch its next holder
+         rejects as stale. The coordinator keeps re-sending the commit;
+         a view still missing after one retry period is not waited for
+         (a dispatch never lowers the token's [vepoch]). *)
       ( st,
         [ Set_timer
             ( T_dispatch,
               Float.max cfg.Config.t_collect cfg.Config.enquiry_timeout ) ] )
   | Collecting { cq; anchor; _ }, Some token ->
-      let q = Qlist.prune token.granted cq in
+      (* Requests of nodes outside our view (relayed to us, or
+         collected before the commit that excised them) are never
+         scheduled: the tail would be an arbiter nobody can reach. *)
+      let q =
+        List.filter
+          (fun e -> is_member st.view e.Qlist.node)
+          (Qlist.prune token.granted cq)
+      in
       if q = [] then
         (* Nothing (new) to schedule: keep collecting, unarmed; the
            next request re-arms at the window boundary. *)
@@ -1102,7 +1193,10 @@ let dispatch cfg ~now st =
           (* Section 4.1: hand the token to the monitor without
              broadcasting; the monitor augments Q, broadcasts with the
              counter reset, and forwards the token. *)
-          let token = { token with tq = q; election = base.election; vepoch = base.view.vnum } in
+          let token =
+            { token with tq = q; election = base.election;
+              vepoch = max token.vepoch base.view.vnum }
+          in
           let st' =
             { base with
               token = None;
@@ -1147,11 +1241,14 @@ let dispatch cfg ~now st =
           (* Monitor rotation happens only when the monitor itself
              broadcasts (Section 5.1); a regular dispatch re-announces
              the current monitor unchanged. *)
-          let announce_effs =
-            announce cfg base ~prev_announced ~q ~counter
-              ~next_monitor:st.monitor
+          let token =
+            { token with tq = q; election = base.election;
+              vepoch = max token.vepoch base.view.vnum }
           in
-          let token = { token with tq = q; election = base.election; vepoch = base.view.vnum } in
+          let announce_effs, handover =
+            announce cfg base ~prev_announced ~q ~counter
+              ~next_monitor:st.monitor ~token
+          in
           let st', launch_effs =
             if tail = st.me then begin
               (* We stay arbiter: after our own CS completes the token
@@ -1169,7 +1266,7 @@ let dispatch cfg ~now st =
               let st' =
                 { base with role = Forwarding { next_arbiter = tail } }
               in
-              let st', effs = launch_token cfg ~now st' token in
+              let st', effs = launch_token cfg ~now ?handover st' token in
               (st', effs @ [ Set_timer (T_forward_end, cfg.Config.t_forward) ])
             end
           in
@@ -1241,7 +1338,7 @@ let pass_token_on cfg ~now st token =
       launch_token cfg ~now st token
   | head :: _ ->
       ( { st with token = None; last_token_seen = now },
-        [ Send (head.Qlist.node, Privilege token) ] )
+        [ Send (head.Qlist.node, Privilege (token, None)) ] )
 
 (* Surface the next queued application request, if any. *)
 let surface_pending cfg ~now (st, effs) =
@@ -1272,21 +1369,11 @@ let finish_batch cfg ~now st token b =
   in
   if not (is_member st.view st.me) then
     (* Excised while the batch was in flight ([apply_view] deferred the
-       hand-off exactly as for an exclusive holder mid-CS): drain the
-       queue of excised entries, stamp the committed view and hand the
+       hand-off exactly as for an exclusive holder mid-CS): hand the
        token to the heir before going dark. *)
-    let tq =
-      List.filter (fun e -> is_member st.view e.Qlist.node) token.tq
-    in
-    let token = { token with tq; vepoch = st.view.vnum } in
-    let heir =
-      match tq with
-      | e :: _ -> e.Qlist.node
-      | [] -> ( match member_ids st.view with h :: _ -> h | [] -> st.me)
-    in
     ( { st with token = None; role = Normal; suspended = false },
       Cancel_timer T_rbatch
-      :: (if heir = st.me then [] else [ Send (heir, Privilege token) ])
+      :: handoff_token st token
       @ [ Note (Custom "excised-handoff") ] )
   else if st.suspended then
     (* An ENQUIRY froze us: hold the token until RESUME. *)
@@ -1338,21 +1425,9 @@ let cs_done cfg ~now st =
       if not (is_member st.view st.me) then
         (* Excised mid-CS ([apply_view] deferred the hand-off to keep
            mutual exclusion): now that the CS is over, hand the token
-           — stamped with the committed view, drained of our own and
-           other excised entries — to the heir and go dark. *)
-        let tq =
-          List.filter (fun e -> is_member st.view e.Qlist.node) token.tq
-        in
-        let token = { token with tq; vepoch = st.view.vnum } in
-        let heir =
-          match tq with
-          | e :: _ -> e.Qlist.node
-          | [] -> ( match member_ids st.view with h :: _ -> h | [] -> st.me)
-        in
+           to the heir and go dark. *)
         ( { st with token = None; role = Normal; suspended = false },
-          (if heir = st.me then []
-           else [ Send (heir, Privilege token) ])
-          @ [ Note (Custom "excised-handoff") ] )
+          handoff_token st token @ [ Note (Custom "excised-handoff") ] )
       else
       let st, effs =
         if st.suspended then
@@ -1718,15 +1793,15 @@ let receive_monitor_privilege cfg ~now st token =
             observed_q_len = List.length q;
             qsizes = observe_qsize cfg st q }
         in
-        let announce_effs =
-          announce cfg st ~prev_announced ~q ~counter:0 ~next_monitor
-        in
         let token = { token with tq = q } in
+        let announce_effs, handover =
+          announce cfg st ~prev_announced ~q ~counter:0 ~next_monitor ~token
+        in
         let st, effs =
           if tail = st.me then
             let st = { st with role = Await_token [] } in
             launch_token cfg ~now st token
-          else launch_token cfg ~now st token
+          else launch_token cfg ~now ?handover st token
         in
         (* The monitor observes the Q-list it just announced: its own
            broadcast is not delivered back to it. *)
@@ -1975,11 +2050,15 @@ let receive_resume cfg ~now st ~round =
   if round < st.enq_round then (st, [])
   else begin
     let st = { st with suspended = false } in
-    match (st.in_cs, st.token) with
-    | false, Some token when st.rbatch = None ->
+    match (st.in_cs, st.token, st.role) with
+    | false, Some token, (Normal | Forwarding _ | Await_token _)
+      when st.rbatch = None ->
         (* We were frozen after finishing our CS: pass the token now.
            A batch coordinator instead keeps holding until its last
-           READ-DONE arrives — [finish_batch] sees [suspended] off. *)
+           READ-DONE arrives — [finish_batch] sees [suspended] off. A
+           collecting arbiter (frozen mid-window, or thawed already by
+           an earlier copy of this RESUME) keeps the token: passing it
+           on again would restart collection without the queue. *)
         pass_token_on cfg ~now st token
     | _ -> (st, [])
   end
@@ -2301,7 +2380,7 @@ let handle_inner cfg ~now st (input : (message, timer) input) :
       receive_view_ack cfg ~now st ~src ~va_vnum
   | Receive (_, Request e) -> receive_request cfg ~now st e
   | Receive (_, Monitor_request e) -> receive_monitor_request cfg ~now st e
-  | Receive (_, Privilege token) ->
+  | Receive (_, Privilege (token, _)) ->
       if token.epoch < st.token_epoch then (st, [ Note (Custom "stale-token") ])
       else if token.vepoch < st.view.vnum then
         (* View changes are committed only while the token is in the
@@ -2369,17 +2448,31 @@ let handle_inner cfg ~now st (input : (message, timer) input) :
 (* Defense in depth against stale senders: once membership can shrink,
    frames from outside the current view must not reach the protocol
    proper. Membership traffic itself (a joiner's knock and acks, a
-   leaver's commit), and a PRIVILEGE hand-off from a leaving
-   coordinator, are the only messages a non-member may deliver. *)
-let handle cfg ~now st (input : (message, timer) input) :
+   leaver's commit), a PRIVILEGE hand-off from a leaving coordinator,
+   and a member's request relayed by a node excised while it held that
+   request, are the only messages a non-member may deliver. A
+   PRIVILEGE with a folded announcement is received as the NEW-ARBITER
+   it stands for, then the token, each through this gate: the
+   announcement of a non-member is dropped like a lone one. *)
+let rec handle cfg ~now st (input : (message, timer) input) :
     state * (message, timer) effect_ list =
   match input with
+  | Receive (src, Privilege (token, Some ho)) ->
+      let st, na_effs =
+        handle cfg ~now st (Receive (src, New_arbiter (unfold st token ho)))
+      in
+      let st, tk_effs =
+        handle cfg ~now st (Receive (src, Privilege (token, None)))
+      in
+      (st, na_effs @ tk_effs)
   | Receive (src, msg)
     when src <> st.me && (not st.joining)
          && not (is_member st.view src) -> (
       match msg with
       | Join_request _ | Leave_request _ | View_change _ | View_ack _
       | Privilege _ ->
+          handle_inner cfg ~now st input
+      | (Request e | Monitor_request e) when is_member st.view e.Qlist.node ->
           handle_inner cfg ~now st input
       | _ -> (st, [ Note (Custom "nonmember-dropped") ]))
   | _ -> handle_inner cfg ~now st input
@@ -2416,7 +2509,10 @@ let pp_message ppf = function
   | Request e -> Format.fprintf ppf "REQUEST(%a)" Qlist.pp_entry e
   | Monitor_request e ->
       Format.fprintf ppf "MONITOR-REQUEST(%a)" Qlist.pp_entry e
-  | Privilege t -> Format.fprintf ppf "PRIVILEGE(%a)" Qlist.pp t.tq
+  | Privilege (t, None) -> Format.fprintf ppf "PRIVILEGE(%a)" Qlist.pp t.tq
+  | Privilege (t, Some ho) ->
+      Format.fprintf ppf "PRIVILEGE(%a, +NEW-ARBITER v=%d)" Qlist.pp t.tq
+        ho.ho_view.vnum
   | Monitor_privilege t ->
       Format.fprintf ppf "MONITOR-PRIVILEGE(%a)" Qlist.pp t.tq
   | New_arbiter na ->

@@ -74,6 +74,30 @@ type new_arbiter = {
           commit catches up at the next broadcast. *)
 }
 
+(** The part of a NEW-ARBITER announcement that the token cannot
+    supply. With [Config.skip_new_arbiter_to_tail] on (Section 3.1), a
+    dispatch whose Q-list is a single entry for another node sends no
+    separate NEW-ARBITER to that node: its PRIVILEGE carries this
+    record instead. A holder that has left the view hands the token on
+    the same way, so the heir learns the view with it. The Q-list (the
+    token's) and the announced arbiter (its tail, or the receiver for
+    an empty queue) are implied; every optional field is [None] when
+    it equals what the token says. Receipt applies the rebuilt
+    announcement and then the token in one step, leaving the receiver
+    exactly as NEW-ARBITER followed by PRIVILEGE would. *)
+type handover = {
+  ho_view : view;  (** The dispatcher's committed view ([na_view]). *)
+  ho_granted : Qlist.Granted.g option;
+      (** The dispatcher's [L] vector, when it differs from the
+          token's. *)
+  ho_epoch : int option;  (** [na_epoch], when it differs from the token's. *)
+  ho_election : int option;
+      (** [na_election], when it differs from the token's. *)
+  ho_monitor : (node_id * int) option;
+      (** Monitor and period counter (Section 4.1); [None] while the
+          variant is off, where the counter means nothing. *)
+}
+
 (** Payload of the VIEW-CHANGE message (proposal and commit phases of
     a membership change). *)
 type view_change = {
@@ -95,7 +119,9 @@ type message =
   | Request of Qlist.entry  (** REQUEST(j, n): node j's (n+1)-th request. *)
   | Monitor_request of Qlist.entry
       (** Resubmission of a starving request to the monitor (§4.1). *)
-  | Privilege of token  (** The token, sent to [Head(Q)]. *)
+  | Privilege of token * handover option
+      (** The token, sent to [Head(Q)]; to a singleton tail, with the
+          announcement folded in (see {!handover}). *)
   | Monitor_privilege of token
       (** Token routed through the monitor without a NEW-ARBITER
           broadcast; the monitor augments Q and broadcasts instead. *)
@@ -382,7 +408,8 @@ val wait_edges : state -> (Types.node_id * Types.node_id) list
 
 val message_kind : message -> string
 (** ["REQUEST"], ["PRIVILEGE"], ["NEW-ARBITER"], ... — the labels used
-    in per-kind message accounting. *)
+    in per-kind message accounting. A PRIVILEGE with a folded
+    announcement is one ["PRIVILEGE"]. *)
 
 val pp_message : Format.formatter -> message -> unit
 val pp_role : Format.formatter -> role -> unit

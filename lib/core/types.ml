@@ -34,10 +34,12 @@ module Config = struct
     t_forward : float;  (** Request forwarding phase duration [T_fwd]. *)
     initial_arbiter : node_id;  (** The node assigned arbiter at start-up. *)
     skip_new_arbiter_to_tail : bool;
-        (** Section 3.1 optimization: suppress the NEW-ARBITER broadcast
-            when the Q-list is a singleton (the token alone proves
-            arbitership to its receiver). Default [false], matching the
-            accounting of Eq. 1. *)
+        (** Section 3.1 optimization: when the Q-list is a singleton
+            naming another node, send that node no separate NEW-ARBITER
+            (the token alone proves arbitership to its receiver); its
+            PRIVILEGE carries the rest of the announcement instead.
+            Default [false], matching the accounting of Eq. 1; the
+            deployment preset [Resilient.config] turns it on. *)
     monitor : node_id option;
         (** Enable the Section 4.1 starvation-free variant with this
             monitor node. *)

@@ -1,7 +1,11 @@
 open Dmutex.Types
 
 module Make (A : Dmutex.Types.ALGO) = struct
-  type violation = { kind : [ `Safety | `Deadlock ]; trace : string list }
+  type violation = {
+    kind : [ `Safety | `Deadlock ];
+    trace : string list;
+    walk : int option;
+  }
 
   type result = {
     states : int;
@@ -201,7 +205,8 @@ module Make (A : Dmutex.Types.ALGO) = struct
          let g, dg = Queue.pop queue in
          let trs = enabled ~fifo ~fire_timers g in
          if trs = [] && wants g then begin
-           violation := Some { kind = `Deadlock; trace = trace_to dg };
+           violation :=
+             Some { kind = `Deadlock; trace = trace_to dg; walk = None };
            raise Exit
          end;
          List.iter
@@ -218,7 +223,7 @@ module Make (A : Dmutex.Types.ALGO) = struct
                Hashtbl.replace parent dg' (dg, label tr);
                if unsafe g' then begin
                  violation :=
-                   Some { kind = `Safety; trace = trace_to dg' };
+                   Some { kind = `Safety; trace = trace_to dg'; walk = None };
                  raise Exit
                end;
                if Hashtbl.length visited >= max_states then begin
@@ -256,7 +261,7 @@ module Make (A : Dmutex.Types.ALGO) = struct
     let transitions = ref 0 in
     let violation = ref None in
     (try
-       for _ = 1 to walks do
+       for w = 1 to walks do
          let g = ref initial in
          let path = ref [] in
          (try
@@ -265,7 +270,9 @@ module Make (A : Dmutex.Types.ALGO) = struct
               | [] ->
                   if wants !g then begin
                     violation :=
-                      Some { kind = `Deadlock; trace = List.rev !path };
+                      Some
+                        { kind = `Deadlock; trace = List.rev !path;
+                          walk = Some w };
                     raise Exit
                   end
                   else raise Not_found (* quiescent: walk over *)
@@ -277,7 +284,9 @@ module Make (A : Dmutex.Types.ALGO) = struct
                   Hashtbl.replace visited (digest !g) ();
                   if unsafe !g then begin
                     violation :=
-                      Some { kind = `Safety; trace = List.rev !path };
+                      Some
+                        { kind = `Safety; trace = List.rev !path;
+                          walk = Some w };
                     raise Exit
                   end
             done
@@ -291,6 +300,15 @@ module Make (A : Dmutex.Types.ALGO) = struct
       truncated = true (* random exploration is never exhaustive *);
     }
 
+  let describe v =
+    let kind = match v.kind with `Safety -> "Safety" | `Deadlock -> "Deadlock" in
+    let where =
+      match v.walk with
+      | Some w -> Printf.sprintf " in random walk %d:" w
+      | None -> ":"
+    in
+    String.concat "\n" ((kind ^ where) :: v.trace)
+
   let pp_result ppf r =
     match r.violation with
     | None ->
@@ -298,12 +316,5 @@ module Make (A : Dmutex.Types.ALGO) = struct
           r.transitions
           (if r.truncated then " (TRUNCATED)" else "")
     | Some v ->
-        Format.fprintf ppf "%s after %d states:@,%a"
-          (match v.kind with
-          | `Safety -> "SAFETY VIOLATION"
-          | `Deadlock -> "DEADLOCK")
-          r.states
-          (Format.pp_print_list ~pp_sep:Format.pp_print_newline
-             Format.pp_print_string)
-          v.trace
+        Format.fprintf ppf "%s@.(%d states visited)" (describe v) r.states
 end

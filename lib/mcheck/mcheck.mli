@@ -23,6 +23,11 @@ module Make (A : Dmutex.Types.ALGO) : sig
     trace : string list;
         (** Human-readable transition labels from the initial state to
             the offending state. *)
+    walk : int option;
+        (** The random walk (1-based) that found it; [None] from the
+            exhaustive search. Walks are deterministic in [seed], so
+            [run_random ~walks:w] with the same arguments replays it as
+            its last walk. *)
   }
 
   type result = {
@@ -68,6 +73,10 @@ module Make (A : Dmutex.Types.ALGO) : sig
       checking the same properties along the way. [states] reports
       distinct states touched. Finding nothing is evidence, not
       proof. *)
+
+  val describe : violation -> string
+  (** ["Safety"] or ["Deadlock"], the walk that found it if any, then
+      the trace, one transition per line. *)
 
   val pp_result : Format.formatter -> result -> unit
 end

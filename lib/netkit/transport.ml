@@ -62,10 +62,18 @@ let max_frame_len = 64 * 1024 * 1024
    remainder goes in the next flush. *)
 let flush_bytes_cap = 256 * 1024
 
-let env_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some v when v >= 0 -> v
-  | Some _ | None -> default
+(* A count from the environment: unset means [default]; anything but a
+   positive integer is a usage error naming the variable, never a
+   silent fallback. *)
+let env_positive_int name ~default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some v when v > 0 -> v
+      | _ ->
+          invalid_arg
+            (Printf.sprintf "%s must be a positive integer, got %S" name s))
 
 (* ------------------------------------------------------------------ *)
 (* Coalesced flush buffer: frames serialize into one pooled [Bytes.t]
@@ -786,9 +794,13 @@ let create ?fault ?heartbeat_period ?(max_queue = 1024) ?(seed = 0x10ad)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let n_io =
-    max 1 (match io_domains with
-          | Some v -> v
-          | None -> env_int "DMUTEX_IO_DOMAINS" 1)
+    match io_domains with
+    | Some v when v > 0 -> v
+    | Some v ->
+        invalid_arg
+          (Printf.sprintf "Transport.create: io_domains must be positive, got %d"
+             v)
+    | None -> env_positive_int "DMUTEX_IO_DOMAINS" ~default:1
   in
   let ep = peers.(me) in
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

@@ -87,7 +87,9 @@ val create :
     already batches whatever a protocol step produced (see {!cork}).
     [io_domains] (default
     [DMUTEX_IO_DOMAINS] or 1) sizes the reactor pool; peers are
-    assigned round-robin. *)
+    assigned round-robin. A value that is not a positive integer, in
+    the argument or the variable, raises [Invalid_argument] before
+    anything is opened. *)
 
 val send : t -> dst:int -> ?lock:string -> string -> bool
 (** Frame a payload for lock instance [lock] (default [""]) and hand

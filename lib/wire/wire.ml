@@ -12,8 +12,13 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
    the store's membership-view record exist. v4: read-write modes —
    Q-list entries carry a mode byte (so REQUEST and PRIVILEGE frames
    carry it), the READ-GRANT / READ-DONE shared-batch messages exist,
-   and the store's custody record carries a shared-batch flag. *)
-let format_version = 4
+   and the store's custody record carries a shared-batch flag. v5: a
+   PRIVILEGE carries an optional folded announcement (Section 3.1: the
+   tail of a singleton dispatch, and the heir of a holder leaving the
+   view, get their NEW-ARBITER inside the token message) — the view,
+   then the [L] vector, token epoch, election and monitor pair, each
+   present only where it differs from the token. *)
+let format_version = 5
 
 module Enc = struct
   type t = Buffer.t
@@ -508,6 +513,22 @@ module Protocol_codec = struct
     let vmembers = Dec.list d dec_member in
     { Protocol.vnum; vmembers }
 
+  let enc_handover e (h : Protocol.handover) =
+    enc_view e h.Protocol.ho_view;
+    Enc.option e (fun e g -> Enc.array e Enc.int_ g) h.Protocol.ho_granted;
+    Enc.option e Enc.int_ h.Protocol.ho_epoch;
+    Enc.option e Enc.int_ h.Protocol.ho_election;
+    Enc.option e (fun e mc -> Enc.pair e Enc.int_ Enc.int_ mc)
+      h.Protocol.ho_monitor
+
+  let dec_handover d =
+    let ho_view = dec_view d in
+    let ho_granted = Dec.option d (fun d -> Dec.array d Dec.int_) in
+    let ho_epoch = Dec.option d Dec.int_ in
+    let ho_election = Dec.option d Dec.int_ in
+    let ho_monitor = Dec.option d (fun d -> Dec.pair d Dec.int_ Dec.int_) in
+    { Protocol.ho_view; ho_granted; ho_epoch; ho_election; ho_monitor }
+
   let enc_status e = function
     | Protocol.Have_token -> Enc.u8 e 0
     | Protocol.Executed -> Enc.u8 e 1
@@ -529,9 +550,10 @@ module Protocol_codec = struct
     | Protocol.Monitor_request x ->
         Enc.u8 e 1;
         enc_entry e x
-    | Protocol.Privilege t ->
+    | Protocol.Privilege (t, h) ->
         Enc.u8 e 2;
-        enc_token e t
+        enc_token e t;
+        Enc.option e enc_handover h
     | Protocol.Monitor_privilege t ->
         Enc.u8 e 3;
         enc_token e t
@@ -594,7 +616,10 @@ module Protocol_codec = struct
       match Dec.u8 d with
       | 0 -> Protocol.Request (dec_entry d)
       | 1 -> Protocol.Monitor_request (dec_entry d)
-      | 2 -> Protocol.Privilege (dec_token d)
+      | 2 ->
+          let t = dec_token d in
+          let h = Dec.option d dec_handover in
+          Protocol.Privilege (t, h)
       | 3 -> Protocol.Monitor_privilege (dec_token d)
       | 4 ->
           let na_arbiter = Dec.int_ d in

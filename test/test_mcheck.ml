@@ -10,35 +10,31 @@ let basic_cfg n =
   let base = Basic.config ~n () in
   { base with Types.Config.max_retries = 0 }
 
-let check_ok name (r : Mcheck.Make(Basic).result) =
-  match r.violation with
+(* Fail with what the checker found: [describe] (the instance's
+   [M.describe]) names the kind — Safety or Deadlock — and, for a
+   random walk, its number, so rerunning with [~walks] set to it
+   replays the trace. *)
+let expect_clean describe = function
   | None -> ()
-  | Some v ->
-      Alcotest.failf "%s: %s\n%s" name
-        (match v.kind with `Safety -> "safety" | `Deadlock -> "deadlock")
-        (String.concat "\n" v.trace)
+  | Some v -> Alcotest.fail (describe v)
 
 let test_basic_n2_exhaustive () =
   let module M = Mcheck.Make (Basic) in
   let r = M.run ~requests_per_node:1 (basic_cfg 2) in
-  check_ok "n=2 r=1" r;
+  expect_clean M.describe r.violation;
   Alcotest.(check bool) "exhausted (not truncated)" false r.truncated;
   Alcotest.(check bool) "non-trivial space" true (r.states > 100)
 
 let test_basic_n2_r2_bounded () =
   let module M = Mcheck.Make (Basic) in
   let r = M.run ~max_states:150_000 ~requests_per_node:2 (basic_cfg 2) in
-  (match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace));
+  expect_clean M.describe r.violation;
   Alcotest.(check bool) "explored the budget" true (r.states > 100_000)
 
 let test_basic_n3_bounded () =
   let module M = Mcheck.Make (Basic) in
   let r = M.run ~max_states:150_000 ~requests_per_node:1 (basic_cfg 3) in
-  match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace)
+  expect_clean M.describe r.violation
 
 let test_basic_n2_no_timers () =
   (* With deterministic timers off the space is tiny and exhaustible
@@ -47,46 +43,39 @@ let test_basic_n2_no_timers () =
   let r =
     M.run ~fire_timers:true ~requests_per_node:1 (basic_cfg 2)
   in
-  check_ok "n=2" r
+  expect_clean M.describe r.violation
 
 let test_central_exhaustive () =
   let module M = Mcheck.Make (Baselines.Central_server) in
   let r = M.run ~requests_per_node:2 (Types.Config.default ~n:3) in
-  (match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace));
+  expect_clean M.describe r.violation;
   Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_ricart_exhaustive () =
   let module M = Mcheck.Make (Baselines.Ricart_agrawala) in
   let r = M.run ~requests_per_node:1 (Types.Config.default ~n:3) in
-  (match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace));
+  expect_clean M.describe r.violation;
   Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_suzuki_exhaustive () =
   let module M = Mcheck.Make (Baselines.Suzuki_kasami) in
   let r = M.run ~requests_per_node:1 (Types.Config.default ~n:3) in
-  match r.violation with
-  | None -> Alcotest.(check bool) "exhausted" false r.truncated
-  | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace)
+  expect_clean M.describe r.violation;
+  Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_raymond_exhaustive () =
   let module M = Mcheck.Make (Baselines.Raymond) in
   let r = M.run ~requests_per_node:2 (Types.Config.default ~n:3) in
-  match r.violation with
-  | None -> Alcotest.(check bool) "exhausted" false r.truncated
-  | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace)
+  expect_clean M.describe r.violation;
+  Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_lamport_fifo_exhaustive () =
   (* Lamport's algorithm assumes FIFO channels; under them it is
      exhaustively safe at n=3. *)
   let module M = Mcheck.Make (Baselines.Lamport) in
   let r = M.run ~fifo:true ~requests_per_node:1 (Types.Config.default ~n:3) in
-  match r.violation with
-  | None -> Alcotest.(check bool) "exhausted" false r.truncated
-  | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace)
+  expect_clean M.describe r.violation;
+  Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_lamport_needs_fifo () =
   (* ...and without FIFO the checker finds the classic reordering
@@ -103,7 +92,7 @@ let test_basic_fifo_also_ok () =
      FIFO (a smaller space) must of course also pass. *)
   let module M = Mcheck.Make (Basic) in
   let r = M.run ~fifo:true ~requests_per_node:1 (basic_cfg 2) in
-  check_ok "n=2 fifo" r
+  expect_clean M.describe r.violation
 
 let test_maekawa_bounded () =
   let module M = Mcheck.Make (Baselines.Maekawa) in
@@ -111,9 +100,7 @@ let test_maekawa_bounded () =
     M.run ~max_states:150_000 ~requests_per_node:1
       (Types.Config.default ~n:3)
   in
-  match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat "\n" v.trace)
+  expect_clean M.describe r.violation
 
 (* Validate the checker itself: a deliberately broken algorithm in
    which the initial holder grants everyone immediately must be caught
@@ -317,51 +304,51 @@ let regen_cfg n =
 let test_join_churn_bounded () =
   let module M = Mcheck.Make (Join_churn) in
   let r = M.run ~max_states:120_000 ~requests_per_node:1 (churn_cfg 3) in
-  (match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace));
+  expect_clean M.describe r.violation;
   Alcotest.(check bool) "non-trivial space" true (r.states > 10_000)
 
 let test_leave_churn_bounded () =
   let module M = Mcheck.Make (Leave_churn) in
   let r = M.run ~max_states:120_000 ~requests_per_node:2 (churn_cfg 3) in
-  match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace)
+  expect_clean M.describe r.violation
 
 let test_regen_churn_bounded () =
   let module M = Mcheck.Make (Regen_churn) in
   let r = M.run ~max_states:120_000 ~requests_per_node:2 (regen_cfg 3) in
-  match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace)
+  expect_clean M.describe r.violation
 
-let test_join_churn_random () =
+(* Random walks over the churn scenarios, with unordered and with FIFO
+   channels. 5000 walks (about 2 s each) is deep enough to reach the
+   excision bugs that [test_membership.ml] replays: an excised node's
+   request scheduled after its commit, a survivor's request relayed by
+   the excised node and dropped at the gate, a duplicate RESUME wiping
+   a collecting arbiter's queue, a token held under an older view than
+   its own. *)
+let churn_walks = 5000
+
+let test_join_churn_random ~fifo () =
   let module M = Mcheck.Make (Join_churn) in
   let r =
-    M.run_random ~walks:300 ~depth:300 ~requests_per_node:1 (churn_cfg 3)
+    M.run_random ~walks:churn_walks ~depth:300 ~fifo ~requests_per_node:1
+      (churn_cfg 3)
   in
-  match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace)
+  expect_clean M.describe r.violation
 
-let test_leave_churn_random () =
+let test_leave_churn_random ~fifo () =
   let module M = Mcheck.Make (Leave_churn) in
   let r =
-    M.run_random ~walks:300 ~depth:300 ~requests_per_node:2 (churn_cfg 3)
+    M.run_random ~walks:churn_walks ~depth:300 ~fifo ~requests_per_node:2
+      (churn_cfg 3)
   in
-  match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace)
+  expect_clean M.describe r.violation
 
-let test_regen_churn_random () =
+let test_regen_churn_random ~fifo () =
   let module M = Mcheck.Make (Regen_churn) in
   let r =
-    M.run_random ~walks:300 ~depth:300 ~requests_per_node:2 (regen_cfg 3)
+    M.run_random ~walks:churn_walks ~depth:300 ~fifo ~requests_per_node:2
+      (regen_cfg 3)
   in
-  match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace)
+  expect_clean M.describe r.violation
 
 let test_recovery_needs_timing () =
   (* Pin the modelling caveat: under unrestricted asynchrony the
@@ -377,8 +364,8 @@ let test_recovery_needs_timing () =
   in
   match r.violation with
   | Some { kind = `Safety; _ } -> ()
-  | Some { kind = `Deadlock; trace } ->
-      Alcotest.failf "unexpected deadlock: %s" (String.concat newline trace)
+  | Some ({ kind = `Deadlock; _ } as v) ->
+      Alcotest.failf "unexpected %s" (M.describe v)
   | None ->
       Alcotest.fail
         "expected the asynchronous-regeneration artifact to be reachable"
@@ -389,10 +376,7 @@ let test_random_walks_basic () =
   let r =
     M.run_random ~walks:300 ~depth:300 ~requests_per_node:2 (basic_cfg 4)
   in
-  (match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat "
-" v.trace));
+  expect_clean M.describe r.violation;
   Alcotest.(check bool) "explored states" true (r.states > 1_000)
 
 let test_random_walks_monitored () =
@@ -405,9 +389,7 @@ let test_random_walks_monitored () =
     { (Monitored.config ~n:3 ()) with Types.Config.max_retries = 2 }
   in
   let r = M.run_random ~walks:300 ~depth:300 ~requests_per_node:2 cfg in
-  match r.violation with
-  | None -> ()
-  | Some v -> Alcotest.failf "violation: %s" (String.concat newline v.trace)
+  expect_clean M.describe r.violation
 
 let test_monitored_without_retries_starves () =
   (* Pin the hole: with retries disabled, the walker finds the
@@ -421,9 +403,8 @@ let test_monitored_without_retries_starves () =
   let r = M.run_random ~walks:2000 ~depth:300 ~requests_per_node:2 cfg in
   match r.violation with
   | Some { kind = `Deadlock; _ } -> ()
-  | Some { kind = `Safety; trace } ->
-      Alcotest.failf "unexpected safety violation: %s"
-        (String.concat newline trace)
+  | Some ({ kind = `Safety; _ } as v) ->
+      Alcotest.failf "unexpected %s" (M.describe v)
   | None ->
       Alcotest.fail
         "expected the known starvation deadlock to be reachable"
@@ -443,10 +424,21 @@ let test_random_walks_find_planted_bug () =
     M.run_random ~walks:200 ~depth:50 ~requests_per_node:1
       (Types.Config.default ~n:2)
   in
-  (match r.violation with
-  | Some { kind = `Safety; _ } -> ()
-  | _ -> Alcotest.fail "random walker missed the planted violation");
-  ()
+  match r.violation with
+  | Some ({ kind = `Safety; walk = Some w; _ } as v) ->
+      (* The walk number replays it: it is the last of that many. *)
+      let again =
+        M.run_random ~walks:w ~depth:50 ~requests_per_node:1
+          (Types.Config.default ~n:2)
+      in
+      Alcotest.(check (option (list string))) "replayed trace"
+        (Some v.trace)
+        (Option.map (fun (v : M.violation) -> v.trace) again.violation);
+      Alcotest.(check bool) "description names kind and walk" true
+        (String.starts_with
+           ~prefix:(Printf.sprintf "Safety in random walk %d:" w)
+           (M.describe v))
+  | _ -> Alcotest.fail "random walker missed the planted violation"
 
 let test_rw_shared_exhaustive () =
   (* Read-write safety, mechanized: one shared and one exclusive
@@ -461,12 +453,7 @@ let test_rw_shared_exhaustive () =
   let r =
     M.run ~max_states:400_000 ~requests_per_node:1 ~shared_per_node:1 cfg
   in
-  (match r.violation with
-  | None -> ()
-  | Some v ->
-      Alcotest.failf "rw violation (%s):\n%s"
-        (match v.kind with `Safety -> "safety" | `Deadlock -> "deadlock")
-        (String.concat newline v.trace));
+  expect_clean M.describe r.violation;
   Alcotest.(check bool) "non-trivial space" true (r.states > 1_000)
 
 let test_rw_all_shared_exhaustive () =
@@ -479,17 +466,15 @@ let test_rw_all_shared_exhaustive () =
   let r =
     M.run ~max_states:400_000 ~requests_per_node:0 ~shared_per_node:1 cfg
   in
-  match r.violation with
-  | None -> ()
-  | Some v ->
-      Alcotest.failf "all-shared violation:\n%s" (String.concat newline v.trace)
+  expect_clean M.describe r.violation
 
 let test_detects_deadlock () =
   let module M = Mcheck.Make (Broken_never_grant) in
   let r = M.run ~requests_per_node:1 (Types.Config.default ~n:2) in
   match r.violation with
-  | Some { kind = `Deadlock; trace } ->
-      Alcotest.(check bool) "trace nonempty" true (trace <> [])
+  | Some { kind = `Deadlock; trace; walk } ->
+      Alcotest.(check bool) "trace nonempty" true (trace <> []);
+      Alcotest.(check (option int)) "exhaustive search: no walk" None walk
   | Some { kind = `Safety; _ } -> Alcotest.fail "wrong verdict"
   | None -> Alcotest.fail "missed an obvious deadlock"
 
@@ -523,11 +508,17 @@ let suite =
       Alcotest.test_case "regeneration vs excision n=3 (bounded)" `Slow
         test_regen_churn_bounded;
       Alcotest.test_case "random walks: join churn" `Slow
-        test_join_churn_random;
+        (test_join_churn_random ~fifo:false);
       Alcotest.test_case "random walks: leave churn" `Slow
-        test_leave_churn_random;
+        (test_leave_churn_random ~fifo:false);
       Alcotest.test_case "random walks: regeneration vs excision" `Slow
-        test_regen_churn_random;
+        (test_regen_churn_random ~fifo:false);
+      Alcotest.test_case "random walks (FIFO): join churn" `Slow
+        (test_join_churn_random ~fifo:true);
+      Alcotest.test_case "random walks (FIFO): leave churn" `Slow
+        (test_leave_churn_random ~fifo:true);
+      Alcotest.test_case "random walks (FIFO): regeneration vs excision"
+        `Slow (test_regen_churn_random ~fifo:true);
       Alcotest.test_case "recovery needs the timing assumption (pinned)"
         `Slow test_recovery_needs_timing;
       Alcotest.test_case "random walks: basic n=4" `Slow

@@ -28,7 +28,7 @@ let has_note effs s = List.mem s (notes effs)
 let privilege_sends effs =
   List.filter_map
     (function
-      | Send (dst, Protocol.Privilege tok) -> Some (dst, tok) | _ -> None)
+      | Send (dst, Protocol.Privilege (tok, _)) -> Some (dst, tok) | _ -> None)
     effs
 
 let member_ids st = Protocol.member_ids st.Protocol.view
@@ -198,7 +198,7 @@ let test_stale_view_token_rejected () =
       granted = Qlist.Granted.create 4;
       epoch = 0; election = 1; vepoch = 0 }
   in
-  let st, effs = step cfg st (Receive (0, Protocol.Privilege relic)) in
+  let st, effs = step cfg st (Receive (0, Protocol.Privilege (relic, None))) in
   Alcotest.(check bool) "rejected" true (has_note effs "stale-view-token");
   Alcotest.(check bool) "not adopted" true (st.Protocol.token = None)
 
@@ -279,6 +279,165 @@ let test_excised_idle_hands_off_immediately () =
   Alcotest.(check (list int)) "view excludes us" [ 1; 2; 3 ]
     (List.sort compare (member_ids st))
 
+(* ------------------------------------------------------------------ *)
+(* Replays of the excision bugs deep churn walks found                 *)
+
+let req node seq = Protocol.Request (Qlist.entry ~node ~seq ())
+
+let collected st =
+  match st.Protocol.role with
+  | Protocol.Collecting { cq; _ } -> List.map (fun e -> e.Qlist.node) cq
+  | _ -> Alcotest.fail "expected a collecting arbiter"
+
+let announced_arbiters effs =
+  List.filter_map
+    (function
+      | Send (_, Protocol.New_arbiter na) | Broadcast (Protocol.New_arbiter na)
+        ->
+          Some na.Protocol.na_arbiter
+      | _ -> None)
+    effs
+
+let test_replay_relayed_request_passes_gate () =
+  (* FIFO leave churn: node 2 was excised while survivors' requests
+     were on their way to it; it relays them to its heir, whose gate
+     used to drop every frame from a non-member — and the requester's
+     finite retries ran out. A member's request is accepted from a
+     non-member relay; the excised node's own is still refused. *)
+  let st = Protocol.init cfg 0 in
+  let st, _ = step cfg st (commit_vc ~vnum:1 [ 0; 1 ]) in
+  let st, effs = step cfg st (Receive (2, req 1 0)) in
+  Alcotest.(check bool) "relayed member request not dropped" false
+    (has_note effs "nonmember-dropped");
+  Alcotest.(check (list int)) "collected" [ 1 ] (collected st);
+  let _, effs = step cfg st (Receive (2, req 2 0)) in
+  Alcotest.(check bool) "the excised node's own request dropped" true
+    (has_note effs "nonmember-dropped")
+
+let test_replay_dispatch_skips_excised () =
+  (* Non-FIFO leave churn: after committing v1 = [0,1] the arbiter
+     still accepted REQUEST(2#0) relayed by node 0, then dispatched
+     PRIVILEGE({0#0,1#1,2#0}) with NEW-ARBITER naming the excised node
+     2 — nobody could reach the arbiter it elected. *)
+  let st = Protocol.init cfg 1 in
+  let st =
+    { st with
+      Protocol.view = { Protocol.vnum = 1; vmembers = [ mk_member 0; mk_member 1 ] } }
+  in
+  let tok =
+    { Protocol.tq = []; granted = Qlist.Granted.create 4; epoch = 0;
+      election = 1; vepoch = 1 }
+  in
+  let st, _ = step cfg st (Receive (0, Protocol.Privilege (tok, None))) in
+  let st, _ = step cfg st (Receive (0, req 0 0)) in
+  let st, _ = step cfg st Request_cs in
+  let st, _ = step cfg st (Receive (0, req 2 0)) in
+  let _, effs = step cfg st (Timer_fired Protocol.T_dispatch) in
+  (match privilege_sends effs with
+  | [ (0, tok) ] ->
+      Alcotest.(check (list int)) "excised entry not scheduled" [ 0; 1 ]
+        (List.map (fun e -> e.Qlist.node) tok.Protocol.tq)
+  | _ -> Alcotest.fail "expected the token to go to node 0");
+  Alcotest.(check (list int)) "the elected arbiter is a member" [ 1 ]
+    (List.sort_uniq compare (announced_arbiters effs))
+
+let test_replay_duplicate_resume_keeps_queue () =
+  (* Regeneration vs excision: a holder frozen by an ENQUIRY was thawed
+     by RESUME and became the collecting arbiter; a second copy of that
+     RESUME passed the token on again, restarting collection without
+     the queue — node 1's request was lost. A collecting arbiter frozen
+     mid-window keeps its queue the same way. *)
+  let rcfg = Resilient.config ~n:4 () in
+  let st = Protocol.init rcfg 2 in
+  let st, _ = step rcfg st Request_cs in
+  let tok =
+    { Protocol.tq = [ Qlist.entry ~node:2 ~seq:0 () ];
+      granted = Qlist.Granted.create 4; epoch = 0; election = 1; vepoch = 0 }
+  in
+  let st, _ = step rcfg st (Receive (0, Protocol.Privilege (tok, None))) in
+  let st, _ = step rcfg st (Receive (0, Protocol.Enquiry { round = 1 })) in
+  let st, _ = step rcfg st Cs_done in
+  let st, _ = step rcfg st (Receive (0, Protocol.Resume { round = 1 })) in
+  let st, _ = step rcfg st (Receive (1, req 1 0)) in
+  Alcotest.(check (list int)) "collecting node 1" [ 1 ] (collected st);
+  let st, _ = step rcfg st (Receive (0, Protocol.Resume { round = 1 })) in
+  Alcotest.(check (list int)) "duplicate RESUME keeps the queue" [ 1 ]
+    (collected st);
+  let st, _ = step rcfg st (Receive (3, Protocol.Enquiry { round = 2 })) in
+  Alcotest.(check bool) "frozen mid-window" true st.Protocol.suspended;
+  let st, _ = step rcfg st (Receive (3, Protocol.Resume { round = 2 })) in
+  Alcotest.(check (list int)) "thawed with the queue" [ 1 ] (collected st);
+  Alcotest.(check bool) "thawed" false st.Protocol.suspended
+
+let test_replay_handoff_brings_view () =
+  (* A coordinator that excises itself hands the token to an heir that
+     may not have the commit yet. The heir used to take the token under
+     its old view, and its next dispatch stamped the token with that
+     older epoch, which every up-to-date member rejects as stale: the
+     token was lost. The hand-off now carries the announcement, so the
+     heir adopts the view with the token. *)
+  let st = Protocol.init cfg 0 in
+  let st, _ = step cfg st (Receive (0, Protocol.Leave_request 0)) in
+  let st, _ = step cfg st (Receive (1, Protocol.View_ack { va_vnum = 1 })) in
+  let _, effs = step cfg st (Receive (2, Protocol.View_ack { va_vnum = 1 })) in
+  let handoff =
+    List.find_map
+      (function
+        | Send (1, (Protocol.Privilege (_, Some _) as m)) -> Some m
+        | _ -> None)
+      effs
+  in
+  let heir = Protocol.init cfg 1 in
+  let heir, _ =
+    match handoff with
+    | Some m -> step cfg heir (Receive (0, m))
+    | None -> Alcotest.fail "expected a hand-off carrying the announcement"
+  in
+  Alcotest.(check int) "heir adopted the commit's view" 1
+    heir.Protocol.view.Protocol.vnum;
+  Alcotest.(check bool) "heir holds the token" true (heir.Protocol.token <> None);
+  let heir, _ = step cfg heir (Receive (2, req 2 0)) in
+  let _, effs = step cfg heir (Timer_fired Protocol.T_dispatch) in
+  match privilege_sends effs with
+  | [ (2, tok) ] ->
+      Alcotest.(check int) "dispatched under the new view" 1 tok.Protocol.vepoch
+  | _ -> Alcotest.fail "expected the token to go to node 2"
+
+let test_replay_newer_token_waits_for_view () =
+  (* FIFO leave churn: node 1 got the token (view 1) on one channel
+     before the commit on another, became arbiter under view 0 and
+     dispatched the token stamped with view 0 — rejected as stale by
+     node 0, which had view 1. A token newer than our view now waits
+     for that view, and its epoch never goes backwards. *)
+  let st = Protocol.init cfg 1 in
+  let st, _ = step cfg st Request_cs in
+  let tok =
+    { Protocol.tq = [ Qlist.entry ~node:1 ~seq:0 () ];
+      granted = Qlist.Granted.create 4; epoch = 0; election = 1; vepoch = 1 }
+  in
+  let st, _ = step cfg st (Receive (0, Protocol.Privilege (tok, None))) in
+  let st, _ = step cfg st Cs_done in
+  let st, _ = step cfg st (Receive (0, req 0 1)) in
+  let st', effs = step cfg st (Timer_fired Protocol.T_dispatch) in
+  Alcotest.(check int) "no dispatch under the old view" 0
+    (List.length (privilege_sends effs) + List.length (announced_arbiters effs));
+  Alcotest.(check bool) "retries the dispatch" true
+    (List.exists
+       (function Set_timer (Protocol.T_dispatch, _) -> true | _ -> false)
+       effs);
+  let caught_up, _ = step cfg st' (commit_vc ~src:2 ~arbiter:1 ~vnum:1 [ 0; 1; 3 ]) in
+  let _, effs = step cfg caught_up (Timer_fired Protocol.T_dispatch) in
+  (match privilege_sends effs with
+  | [ (0, tok) ] -> Alcotest.(check int) "dispatched under view 1" 1 tok.Protocol.vepoch
+  | _ -> Alcotest.fail "expected the token to go to node 0 once the view is in");
+  (* A view that never arrives is not waited for past a retry period,
+     and the token keeps its newer epoch. *)
+  let late = cfg.Types.Config.retry_timeout +. 1.0 in
+  let _, effs = step ~now:late cfg st' (Timer_fired Protocol.T_dispatch) in
+  match privilege_sends effs with
+  | [ (0, tok) ] -> Alcotest.(check int) "epoch kept" 1 tok.Protocol.vepoch
+  | _ -> Alcotest.fail "expected the dispatch after the retry period"
+
 let suite =
   ( "membership",
     [
@@ -299,4 +458,14 @@ let suite =
         test_excised_in_cs_defers_handoff;
       Alcotest.test_case "idle excision hands off immediately" `Quick
         test_excised_idle_hands_off_immediately;
+      Alcotest.test_case "replay: relayed request passes the gate" `Quick
+        test_replay_relayed_request_passes_gate;
+      Alcotest.test_case "replay: dispatch skips excised entries" `Quick
+        test_replay_dispatch_skips_excised;
+      Alcotest.test_case "replay: duplicate RESUME keeps the queue" `Quick
+        test_replay_duplicate_resume_keeps_queue;
+      Alcotest.test_case "replay: hand-off brings the heir the view" `Quick
+        test_replay_handoff_brings_view;
+      Alcotest.test_case "replay: newer token waits for its view" `Quick
+        test_replay_newer_token_waits_for_view;
     ] )

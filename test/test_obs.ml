@@ -558,7 +558,30 @@ let test_live_high_load_band () =
   let threads = List.init n (fun i -> Thread.create (worker i) ()) in
   List.iter Thread.join threads;
   let report = RCluster.obs_report cluster in
-  let snap = RCluster.obs_snapshot cluster in
+  (* The merged snapshot carries the transport series too, and they
+     roughly corroborate the protocol counters (transport counts
+     frames including heartbeats/duplicates, so >=). The protocol
+     counts a send when its step emits it, the transport once the
+     frame is written: the last steps' frames can still be queued at
+     this instant, so sample the transport until it has flushed them
+     (bounded — a frame it never writes still fails the check). *)
+  let transport_sent () =
+    List.fold_left
+      (fun acc (s, v) ->
+        if s.Registry.name = Names.transport_sent_total then acc + v else acc)
+      0 (RCluster.obs_snapshot cluster).Registry.counters
+  in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec flushed () =
+    let sent = transport_sent () in
+    if sent >= report.Report.messages_sent || Unix.gettimeofday () > deadline
+    then sent
+    else begin
+      Thread.delay 0.01;
+      flushed ()
+    end
+  in
+  let transport_sent = flushed () in
   RCluster.shutdown cluster;
   Alcotest.(check int) "no lock timeouts" 0 !timeouts;
   Alcotest.(check int) "every CS entry counted" (n * rounds)
@@ -571,15 +594,6 @@ let test_live_high_load_band () =
     && report.Report.messages_per_cs <= 4.5);
   Alcotest.(check bool) "sync delay observed" true
     (report.Report.sync_delay_mean > 0.0);
-  (* The merged snapshot carries the transport series too, and they
-     roughly corroborate the protocol counters (transport counts
-     frames including heartbeats/duplicates, so >=). *)
-  let transport_sent =
-    List.fold_left
-      (fun acc (s, v) ->
-        if s.Registry.name = Names.transport_sent_total then acc + v else acc)
-      0 snap.Registry.counters
-  in
   Alcotest.(check bool) "transport sent >= protocol sent" true
     (transport_sent >= report.Report.messages_sent);
   (* The shared trace sink saw every node's CS activity. *)

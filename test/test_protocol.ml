@@ -85,7 +85,7 @@ let test_dispatch () =
        (function _, Protocol.Privilege _ -> true | _ -> false)
        (sends effs)
    with
-  | Some (dst, Protocol.Privilege tok) ->
+  | Some (dst, Protocol.Privilege (tok, _)) ->
       Alcotest.(check int) "token to head" 1 dst;
       Alcotest.(check (list int)) "token queue" [ 1; 2 ]
         (List.map (fun e -> e.Qlist.node) tok.Protocol.tq);
@@ -143,11 +143,11 @@ let test_cs_done_passes_token () =
   in
   let st = Protocol.init cfg 1 in
   let st, _ = step cfg st Request_cs in
-  let st, effs = step cfg st (Receive (0, Protocol.Privilege tok)) in
+  let st, effs = step cfg st (Receive (0, Protocol.Privilege (tok, None))) in
   Alcotest.(check bool) "entered" true (has_enter effs);
   let st, effs = step cfg st Cs_done in
   (match sends effs with
-  | [ (3, Protocol.Privilege tok') ] ->
+  | [ (3, Protocol.Privilege (tok', _)) ] ->
       Alcotest.(check (list int)) "we removed ourselves" [ 3 ]
         (List.map (fun e -> e.Qlist.node) tok'.Protocol.tq);
       Alcotest.(check bool) "grant recorded" true
@@ -165,7 +165,7 @@ let test_tail_becomes_arbiter () =
   in
   let st = Protocol.init cfg 1 in
   let st, _ = step cfg st Request_cs in
-  let st, _ = step cfg st (Receive (0, Protocol.Privilege tok)) in
+  let st, _ = step cfg st (Receive (0, Protocol.Privilege (tok, None))) in
   let st, _ = step cfg st Cs_done in
   Alcotest.(check bool) "tail keeps token and collects" true
     (match st.Protocol.role with Protocol.Collecting _ -> true | _ -> false);
@@ -286,7 +286,7 @@ let test_stale_token_discarded () =
     { Protocol.tq = [ Qlist.entry ~node:1 ~seq:0 () ];
       granted = Qlist.Granted.create 4; epoch = 3; election = 1; vepoch = 0 }
   in
-  let st', effs = step cfg st (Receive (0, Protocol.Privilege tok)) in
+  let st', effs = step cfg st (Receive (0, Protocol.Privilege (tok, None))) in
   Alcotest.(check bool) "not entered" false (has_enter effs);
   Alcotest.(check bool) "state unchanged" true (st' = st)
 
@@ -307,7 +307,7 @@ let find_privilege ~dst effs =
       (function d, Protocol.Privilege _ -> d = dst | _ -> false)
       (sends effs)
   with
-  | Some (_, Protocol.Privilege tok) -> tok
+  | Some (_, Protocol.Privilege (tok, _)) -> tok
   | _ -> Alcotest.failf "expected PRIVILEGE to node %d" dst
 
 let test_rw_batch_flow () =
@@ -325,7 +325,7 @@ let test_rw_batch_flow () =
   (* Coordinator: own shared request outstanding, token arrives. *)
   let b = Protocol.init cfg 1 in
   let b, _ = step cfg b Request_shared_cs in
-  let b, effs = step cfg b (Receive (0, Protocol.Privilege token)) in
+  let b, effs = step cfg b (Receive (0, Protocol.Privilege (token, None))) in
   Alcotest.(check bool) "coordinator enters CS" true (has_enter effs);
   Alcotest.(check bool) "coordinator reports Shared" true
     (Protocol.cs_mode b = Types.Shared);
@@ -404,7 +404,7 @@ let test_rw_solo_reader_plain_path () =
   let token = find_privilege ~dst:1 effs in
   let b = Protocol.init cfg 1 in
   let b, _ = step cfg b Request_shared_cs in
-  let b, effs = step cfg b (Receive (0, Protocol.Privilege token)) in
+  let b, effs = step cfg b (Receive (0, Protocol.Privilege (token, None))) in
   Alcotest.(check bool) "enters CS" true (has_enter effs);
   Alcotest.(check bool) "no batch state" true (b.Protocol.rbatch = None);
   Alcotest.(check bool) "no READ-GRANT sent" true
@@ -423,7 +423,7 @@ let test_rw_batch_regrant_on_timeout () =
   let token = find_privilege ~dst:1 effs in
   let b = Protocol.init cfg 1 in
   let b, _ = step cfg b Request_shared_cs in
-  let b, _ = step cfg b (Receive (0, Protocol.Privilege token)) in
+  let b, _ = step cfg b (Receive (0, Protocol.Privilege (token, None))) in
   let b, effs = step cfg b (Timer_fired Protocol.T_rbatch) in
   Alcotest.(check int) "grant re-sent to the silent reader" 1
     (List.length

@@ -78,7 +78,7 @@ let test_monitor_privilege_flushes_buffer () =
         na.Protocol.na_arbiter
   | _ -> Alcotest.fail "expected a NEW-ARBITER broadcast from the monitor");
   (match sends effs with
-  | [ (1, Protocol.Privilege t) ] ->
+  | [ (1, Protocol.Privilege (t, _)) ] ->
       Alcotest.(check int) "token forwarded to head" 2
         (List.length t.Protocol.tq)
   | _ -> Alcotest.fail "expected the token to move to node 1");
@@ -278,7 +278,7 @@ let test_enquiry_suspends_holder () =
   let st = Protocol.init res_cfg 1 in
   let st, _ = step res_cfg st Request_cs in
   let st, _ =
-    step res_cfg st (Receive (0, Protocol.Privilege (token [ entry 1 0 ])))
+    step res_cfg st (Receive (0, Protocol.Privilege (token [ entry 1 0 ], None)))
   in
   let st, effs = step res_cfg st (Receive (3, Protocol.Enquiry { round = 7 })) in
   (match sends effs with
@@ -373,6 +373,203 @@ let test_stale_round_ignored () =
   Alcotest.(check bool) "stale invalidate ignored" true
     (st'.Protocol.enq_round = 5)
 
+(* ------------- folded announcement (§3.1, deployment) ------------ *)
+
+let privileges effs =
+  List.filter_map
+    (function
+      | Send (dst, Protocol.Privilege (tok, ho)) -> Some (dst, tok, ho)
+      | _ -> None)
+    effs
+
+let new_arbiters effs =
+  List.filter_map
+    (function
+      | Send (dst, (Protocol.New_arbiter _ as m)) -> Some (dst, m)
+      | _ -> None)
+    effs
+
+(* What a folded PRIVILEGE stands for: the NEW-ARBITER naming the
+   tail of the token's queue (the receiver, for a singleton or an empty
+   queue), the token supplying every field the handover leaves out. *)
+let unfolded ~receiver (tok : Protocol.token) (ho : Protocol.handover) =
+  let monitor, counter = Option.value ho.Protocol.ho_monitor ~default:(-1, 0) in
+  Protocol.New_arbiter
+    {
+      Protocol.na_arbiter =
+        (match Qlist.final_holder tok.Protocol.tq with
+        | Some t -> t
+        | None -> receiver);
+      na_q = tok.Protocol.tq;
+      na_granted = Option.value ho.Protocol.ho_granted ~default:tok.Protocol.granted;
+      na_counter = counter;
+      na_monitor = monitor;
+      na_epoch = Option.value ho.Protocol.ho_epoch ~default:tok.Protocol.epoch;
+      na_election =
+        Option.value ho.Protocol.ho_election ~default:tok.Protocol.election;
+      na_view = ho.Protocol.ho_view;
+    }
+
+(* The receiver of a folded PRIVILEGE ends exactly where NEW-ARBITER
+   followed by the bare PRIVILEGE leaves it: same state, same effects
+   in the same order. *)
+let check_equivalent cfg receiver ~src ~announcement tok ho =
+  let folded =
+    step cfg receiver (Receive (src, Protocol.Privilege (tok, Some ho)))
+  in
+  let split =
+    let st, e1 = step cfg receiver (Receive (src, announcement)) in
+    let st, e2 = step cfg st (Receive (src, Protocol.Privilege (tok, None))) in
+    (st, e1 @ e2)
+  in
+  Alcotest.(check bool) "same state as NEW-ARBITER then PRIVILEGE" true
+    (fst folded = fst split);
+  Alcotest.(check bool) "same effects as NEW-ARBITER then PRIVILEGE" true
+    (snd folded = snd split);
+  folded
+
+let view vnum members =
+  { Protocol.vnum;
+    vmembers = List.map (fun mid -> { Protocol.mid; maddr = "" }) members }
+
+(* Node 0, the initial arbiter holding the token, schedules node 1's
+   request alone. *)
+let dispatch_singleton cfg st0 =
+  let st0, _ = step cfg st0 (Receive (1, Protocol.Request (entry 1 0))) in
+  step cfg st0 (Timer_fired Protocol.T_dispatch)
+
+let test_singleton_dispatch_folds () =
+  let _, effs = dispatch_singleton res_cfg (Protocol.init res_cfg 0) in
+  Alcotest.(check int) "no broadcast" 0 (List.length (broadcasts effs));
+  Alcotest.(check (list int)) "NEW-ARBITER to the N-2 others" [ 2; 3 ]
+    (List.sort compare (List.map fst (new_arbiters effs)));
+  (match privileges effs with
+  | [ (1, tok, Some ho) ] ->
+      Alcotest.(check (list int)) "singleton queue" [ 1 ]
+        (List.map (fun e -> e.Qlist.node) tok.Protocol.tq);
+      Alcotest.(check bool) "carries the view" true
+        (ho.Protocol.ho_view = Protocol.birth_view res_cfg);
+      Alcotest.(check bool) "nothing the token already says" true
+        (ho.Protocol.ho_granted = None && ho.Protocol.ho_epoch = None
+        && ho.Protocol.ho_election = None && ho.Protocol.ho_monitor = None);
+      Alcotest.(check string) "counted as one PRIVILEGE" "PRIVILEGE"
+        (Protocol.message_kind (Protocol.Privilege (tok, Some ho)))
+  | _ -> Alcotest.fail "expected one PRIVILEGE with the announcement to node 1");
+  (* The paper presets keep Eq. 1's accounting: a NEW-ARBITER broadcast
+     and a bare PRIVILEGE. *)
+  let basic = Basic.config ~n:4 () in
+  let _, effs = dispatch_singleton basic (Protocol.init basic 0) in
+  (match broadcasts effs with
+  | [ Protocol.New_arbiter na ] ->
+      Alcotest.(check int) "basic: broadcast names the tail" 1
+        na.Protocol.na_arbiter
+  | _ -> Alcotest.fail "basic: expected one NEW-ARBITER broadcast");
+  Alcotest.(check int) "basic: no point-to-point NEW-ARBITER" 0
+    (List.length (new_arbiters effs));
+  match privileges effs with
+  | [ (1, _, None) ] -> ()
+  | _ -> Alcotest.fail "basic: expected a bare PRIVILEGE to node 1"
+
+let test_fold_equivalent_committed_view () =
+  (* The dispatcher runs view 2 (node 3 excised) and knows more grants
+     than its token records; the tail is still at view 1. Receipt
+     adopts view 2 from the folded announcement, then the token. *)
+  let st0 = Protocol.init res_cfg 0 in
+  let st0 =
+    { st0 with
+      Protocol.view = view 2 [ 0; 1; 2 ];
+      granted_known = [| 0; -1; 4; -1 |];
+      token =
+        Option.map (fun t -> { t with Protocol.vepoch = 2 }) st0.Protocol.token }
+  in
+  let _, effs = dispatch_singleton res_cfg st0 in
+  let announcement =
+    match new_arbiters effs with
+    | [ (2, m) ] -> m
+    | _ -> Alcotest.fail "expected NEW-ARBITER to node 2 only"
+  in
+  match privileges effs with
+  | [ (1, tok, Some ho) ] ->
+      Alcotest.(check bool) "granted vector folded where it differs" true
+        (ho.Protocol.ho_granted = Some [| 0; -1; 4; -1 |]);
+      Alcotest.(check bool) "it is the others' announcement" true
+        (unfolded ~receiver:1 tok ho
+         = (match announcement with
+           | Protocol.New_arbiter na ->
+               Protocol.New_arbiter { na with Protocol.na_counter = 0 }
+           | m -> m));
+      let receiver = { (Protocol.init res_cfg 1) with Protocol.view = view 1 [ 0; 1; 2; 3 ] } in
+      let st, _ = check_equivalent res_cfg receiver ~src:0 ~announcement tok ho in
+      Alcotest.(check int) "view adopted" 2 st.Protocol.view.Protocol.vnum;
+      Alcotest.(check bool) "in the CS" true st.Protocol.in_cs
+  | _ -> Alcotest.fail "expected one folded PRIVILEGE to node 1"
+
+let test_fold_equivalent_monitored () =
+  (* Section 4.1 path: the token reaches the monitor (node 2), which
+     announces with its counter reset and forwards the token to the
+     singleton tail, folding the monitor fields in. *)
+  let cfg =
+    { (Monitored.config ~monitor:2 ~n:4 ()) with
+      Types.Config.skip_new_arbiter_to_tail = true }
+  in
+  let _, effs = dispatch_singleton cfg (Protocol.init cfg 0) in
+  let tok =
+    match sends effs with
+    | [ (2, Protocol.Monitor_privilege tok) ] -> tok
+    | _ -> Alcotest.fail "expected the token routed to the monitor"
+  in
+  let monitor = { (Protocol.init cfg 2) with Protocol.role = Protocol.Normal } in
+  let _, effs = step cfg monitor (Receive (0, Protocol.Monitor_privilege tok)) in
+  let announcement =
+    match List.sort compare (List.map fst (new_arbiters effs)) with
+    | [ 0; 3 ] -> snd (List.hd (new_arbiters effs))
+    | _ -> Alcotest.fail "expected NEW-ARBITER to nodes 0 and 3"
+  in
+  match privileges effs with
+  | [ (1, tok, Some ho) ] ->
+      Alcotest.(check bool) "monitor fields folded" true
+        (ho.Protocol.ho_monitor = Some (2, 0));
+      Alcotest.(check bool) "it is the others' announcement" true
+        (unfolded ~receiver:1 tok ho = announcement);
+      ignore
+        (check_equivalent cfg (Protocol.init cfg 1) ~src:2 ~announcement tok ho)
+  | _ -> Alcotest.fail "expected one folded PRIVILEGE to node 1"
+
+let test_fold_equivalent_nonmember_sender () =
+  (* A coordinator that excised itself hands the token to the lowest
+     survivor with the announcement folded in. At a survivor that
+     already has the commit the sender is outside the view: the
+     announcement is dropped exactly like a lone NEW-ARBITER from it,
+     and the token is taken. *)
+  let st0 = Protocol.init res_cfg 0 in
+  let st0, _ = step res_cfg st0 (Receive (0, Protocol.Leave_request 0)) in
+  let st0, _ = step res_cfg st0 (Receive (1, Protocol.View_ack { va_vnum = 1 })) in
+  let _, effs = step res_cfg st0 (Receive (2, Protocol.View_ack { va_vnum = 1 })) in
+  let commit =
+    match
+      List.find_opt
+        (function
+          | 1, Protocol.View_change { Protocol.vc_commit = true; _ } -> true
+          | _ -> false)
+        (sends effs)
+    with
+    | Some (_, m) -> m
+    | None -> Alcotest.fail "expected the commit to node 1"
+  in
+  match privileges effs with
+  | [ (1, tok, Some ho) ] ->
+      let receiver, _ = step res_cfg (Protocol.init res_cfg 1) (Receive (0, commit)) in
+      Alcotest.(check bool) "sender outside the receiver's view" false
+        (Protocol.is_member receiver.Protocol.view 0);
+      let announcement = unfolded ~receiver:1 tok ho in
+      let st, effs =
+        check_equivalent res_cfg receiver ~src:0 ~announcement tok ho
+      in
+      Alcotest.(check bool) "announcement dropped at the gate" true
+        (List.mem (Note (Custom "nonmember-dropped")) effs);
+      Alcotest.(check bool) "token taken" true (st.Protocol.token <> None)
+  | _ -> Alcotest.fail "expected the hand-off PRIVILEGE to node 1"
+
 let suite =
   ( "protocol-variants",
     [
@@ -409,4 +606,12 @@ let suite =
         test_watch_survives_self_announcement;
       Alcotest.test_case "stale rounds ignored" `Quick
         test_stale_round_ignored;
+      Alcotest.test_case "singleton dispatch folds the announcement" `Quick
+        test_singleton_dispatch_folds;
+      Alcotest.test_case "folded = split: committed view" `Quick
+        test_fold_equivalent_committed_view;
+      Alcotest.test_case "folded = split: monitored" `Quick
+        test_fold_equivalent_monitored;
+      Alcotest.test_case "folded = split: sender outside view" `Quick
+        test_fold_equivalent_nonmember_sender;
     ] )

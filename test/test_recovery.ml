@@ -418,9 +418,10 @@ let test_past_life_entries_shed () =
   in
   let privilege ~epoch entries =
     Protocol.Privilege
-      { Protocol.tq =
-          List.map (fun (node, seq) -> Qlist.entry ~node ~seq ()) entries;
-        granted = Qlist.Granted.create n; epoch; election = 1; vepoch = 0 }
+      ( { Protocol.tq =
+            List.map (fun (node, seq) -> Qlist.entry ~node ~seq ()) entries;
+          granted = Qlist.Granted.create n; epoch; election = 1; vepoch = 0 },
+        None )
   in
   let entered effs = List.mem Types.Enter_cs effs in
   (* Others still queued behind the dead entry: it is marked served and
@@ -432,7 +433,7 @@ let test_past_life_entries_shed () =
   Alcotest.(check bool) "no CS entry on a past-life grant" false
     (entered effs || st'.Protocol.in_cs);
   (match sends effs with
-  | [ (2, Protocol.Privilege tk) ] ->
+  | [ (2, Protocol.Privilege (tk, _)) ] ->
       Alcotest.(check bool) "dead entry marked served" true
         (Qlist.Granted.already_served tk.Protocol.granted
            (Qlist.entry ~node:0 ~seq:2 ()));

@@ -146,18 +146,19 @@ let test_corrupt_crc_tail_dropped () =
   check_view "CRC-failing tail dropped" v1 (Store.view s2);
   Store.abort s2
 
-let test_version_mismatch_rejected () =
+(* Write a one-record store, then rewrite its snapshot's version byte
+   to [version] and fix up the CRC so only the version differs — a
+   stale directory from a different binary, not crash damage. Returns
+   the directory. *)
+let store_at_version version =
   let dir = fresh_dir () in
   let s = Store.open_ ~dir ~n:3 () in
   Store.record s { (Store.empty_view ~n:3) with Store.epoch = 1 };
   Store.flush s;
   Store.close s;
-  (* Rewrite the snapshot's version byte and fix up its CRC so only
-     the version differs — a stale directory from a different binary,
-     not crash damage: must fail loudly, not truncate. *)
   let snap = file_path dir "snapshot.bin" in
   let raw = Bytes.of_string (read_file snap) in
-  Bytes.set_uint8 raw 0 (Wire.format_version + 1);
+  Bytes.set_uint8 raw 0 version;
   let crc_off = Bytes.length raw - 4 in
   let table =
     Array.init 256 (fun i ->
@@ -174,9 +175,28 @@ let test_version_mismatch_rejected () =
   done;
   Bytes.set_int32_be raw crc_off (Int32.of_int (!crc lxor 0xFFFFFFFF));
   write_file snap (Bytes.to_string raw);
+  dir
+
+let test_version_mismatch_rejected () =
+  (* Must fail loudly, not truncate. *)
+  let dir = store_at_version (Wire.format_version + 1) in
   (match Store.open_ ~dir ~n:3 () with
   | _ -> Alcotest.fail "foreign-version snapshot must raise Corrupt"
   | exception Store.Corrupt _ -> ())
+
+let test_previous_version_rejected () =
+  (* A state directory written before the v5 wire format. *)
+  let dir = store_at_version 4 in
+  match Store.open_ ~dir ~n:3 () with
+  | _ -> Alcotest.fail "a v4 snapshot must raise Corrupt"
+  | exception Store.Corrupt msg ->
+      let says_v4 =
+        let p = "record format v4, this binary speaks v5" in
+        let k = String.length p and n = String.length msg in
+        let rec scan i = i + k <= n && (String.sub msg i k = p || scan (i + 1)) in
+        scan 0
+      in
+      Alcotest.(check bool) (Printf.sprintf "version error (%s)" msg) true says_v4
 
 let test_cluster_size_mismatch_rejected () =
   let dir = fresh_dir () in
@@ -317,6 +337,8 @@ let suite =
         test_corrupt_crc_tail_dropped;
       Alcotest.test_case "format version mismatch rejected" `Quick
         test_version_mismatch_rejected;
+      Alcotest.test_case "v4 store records rejected" `Quick
+        test_previous_version_rejected;
       Alcotest.test_case "cluster size mismatch rejected" `Quick
         test_cluster_size_mismatch_rejected;
       Alcotest.test_case "wal_limit folds into snapshot" `Quick

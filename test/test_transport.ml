@@ -51,6 +51,9 @@ let good_frame ?(src = 1) ?(lock = "") payload =
   Bytes.set_int32_be b 0 (Int32.of_int (String.length body));
   Bytes.to_string b ^ body
 
+(* The frame version byte, [ahead] versions past this build's. *)
+let version_byte ahead = String.make 1 (Char.chr (Wire.format_version + ahead))
+
 let length_prefix len =
   let b = Bytes.create 4 in
   Bytes.set_int32_be b 0 (Int32.of_int len);
@@ -103,20 +106,20 @@ let test_short_frame () =
 
 let test_bad_frame_kind () =
   (* Valid version byte, sender id and (empty) lock key, kind byte 255. *)
-  let body = "\004\000\000\000\001\255\000\000payload" in
+  let body = version_byte 0 ^ "\000\000\000\001\255\000\000payload" in
   survives_garbage ~port:8707 ~peer_port:8708
     (length_prefix (String.length body) ^ body)
 
 let test_truncated_lock_key () =
   (* Lock-length field promises 200 key bytes; the frame ends first. *)
-  let body = "\004\000\000\000\001\000\000\200key" in
+  let body = version_byte 0 ^ "\000\000\000\001\000\000\200key" in
   survives_garbage ~port:8724 ~peer_port:8725
     (length_prefix (String.length body) ^ body)
 
 let test_version_mismatch () =
   (* A well-formed frame from a peer speaking a future format: the
      version byte must reject it before the kind byte is even read. *)
-  let body = "\005\000\000\000\001\000\000\000payload" in
+  let body = version_byte 1 ^ "\000\000\000\001\000\000\000payload" in
   Alcotest.(check bool) "crafted frame differs only in version" true
     (String.get_uint8 body 0 <> Wire.format_version);
   survives_garbage ~port:8726 ~peer_port:8727
@@ -625,6 +628,67 @@ let test_loss_probability_validated () =
   Alcotest.(check (list (float 0.0))) "out-of-range values rejected" [] bad;
   Alcotest.(check (list (float 0.0))) "probabilities accepted" [] good
 
+let test_io_domains_validated () =
+  (* The reactor-pool size, from the argument or from
+     DMUTEX_IO_DOMAINS, is a positive integer or a usage error that
+     names its source; garbage never silently means the default. *)
+  let peers =
+    [|
+      { Netkit.Transport.host = "127.0.0.1"; port = 8751 };
+      { Netkit.Transport.host = "127.0.0.1"; port = 8752 };
+    |]
+  in
+  let create ?io_domains () =
+    Netkit.Transport.create ?io_domains ~me:0 ~peers
+      ~on_frame:(fun ~src:_ ~lock:_ _ -> ())
+      ()
+  in
+  let rejection ?io_domains () =
+    match create ?io_domains () with
+    | tr ->
+        Netkit.Transport.close tr;
+        None
+    | exception Invalid_argument msg -> Some msg
+  in
+  let names_variable = function
+    | Some msg ->
+        let v = "DMUTEX_IO_DOMAINS" in
+        let rec has i =
+          i + String.length v <= String.length msg
+          && (String.sub msg i (String.length v) = v || has (i + 1))
+        in
+        has 0
+    | None -> false
+  in
+  let saved = Sys.getenv_opt "DMUTEX_IO_DOMAINS" in
+  let with_env v f =
+    Unix.putenv "DMUTEX_IO_DOMAINS" v;
+    Fun.protect f ~finally:(fun () ->
+        Unix.putenv "DMUTEX_IO_DOMAINS" (Option.value saved ~default:"1"))
+  in
+  List.iter
+    (fun v ->
+      with_env v (fun () ->
+          Alcotest.(check bool)
+            (Printf.sprintf "DMUTEX_IO_DOMAINS=%S rejected, naming it" v)
+            true
+            (names_variable (rejection ()))))
+    [ "abc"; "-2"; "0"; ""; "1.5" ];
+  with_env "2" (fun () ->
+      Alcotest.(check (option string)) "DMUTEX_IO_DOMAINS=2 accepted" None
+        (rejection ()));
+  with_env "abc" (fun () ->
+      Alcotest.(check (option string)) "the argument wins over the variable"
+        None
+        (rejection ~io_domains:1 ()));
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "io_domains:%d rejected" n)
+        true
+        (rejection ~io_domains:n () <> None))
+    [ 0; -1 ]
+
 let test_reconnect_preserves_pending_ring () =
   (* Frames queued against a not-yet-listening endpoint must survive
      the failed connect attempts and all land, in order, once the
@@ -831,6 +895,8 @@ let suite =
         test_partition_inside_cork;
       Alcotest.test_case "loss probability validated" `Quick
         test_loss_probability_validated;
+      Alcotest.test_case "io domains validated" `Quick
+        test_io_domains_validated;
       Alcotest.test_case "reconnect preserves pending ring" `Slow
         test_reconnect_preserves_pending_ring;
     ] )

@@ -13,11 +13,37 @@ let sample_token =
     vepoch = 5;
   }
 
+(* A folded announcement with every optional field present, and one
+   where the token already says everything but the view. *)
+let full_handover =
+  {
+    Protocol.ho_view =
+      { Protocol.vnum = 4;
+        vmembers =
+          [ { Protocol.mid = 1; maddr = "127.0.0.1:7001" };
+            { Protocol.mid = 3; maddr = "" } ] };
+    ho_granted = Some [| 3; 0; 0; 7 |];
+    ho_epoch = Some 3;
+    ho_election = Some 42;
+    ho_monitor = Some (1, 6);
+  }
+
+let bare_handover =
+  {
+    Protocol.ho_view = { Protocol.vnum = 0; vmembers = [] };
+    ho_granted = None;
+    ho_epoch = None;
+    ho_election = None;
+    ho_monitor = None;
+  }
+
 let messages : Protocol.message list =
   [
     Protocol.Request (entry 2 9);
     Protocol.Monitor_request (entry ~hops:3 0 1);
-    Protocol.Privilege sample_token;
+    Protocol.Privilege (sample_token, None);
+    Protocol.Privilege (sample_token, Some full_handover);
+    Protocol.Privilege (sample_token, Some bare_handover);
     Protocol.Monitor_privilege sample_token;
     Protocol.New_arbiter
       {
@@ -62,13 +88,18 @@ let test_distinct_encodings () =
     (List.length uniq)
 
 let test_truncated_rejected () =
-  let enc = Wire.Protocol_codec.encode (Protocol.Privilege sample_token) in
-  for cut = 0 to String.length enc - 1 do
-    let short = String.sub enc 0 cut in
-    match Wire.Protocol_codec.decode short with
-    | _ -> Alcotest.failf "truncation at %d accepted" cut
-    | exception Wire.Malformed _ -> ()
-  done
+  List.iter
+    (fun handover ->
+      let enc =
+        Wire.Protocol_codec.encode (Protocol.Privilege (sample_token, handover))
+      in
+      for cut = 0 to String.length enc - 1 do
+        let short = String.sub enc 0 cut in
+        match Wire.Protocol_codec.decode short with
+        | _ -> Alcotest.failf "truncation at %d accepted" cut
+        | exception Wire.Malformed _ -> ()
+      done)
+    [ None; Some full_handover; Some bare_handover ]
 
 let test_trailing_garbage_rejected () =
   let enc = Wire.Protocol_codec.encode Protocol.Warning in
@@ -146,7 +177,33 @@ let gen_message =
       [
         map (fun e -> Protocol.Request e) gen_entry;
         map (fun e -> Protocol.Monitor_request e) gen_entry;
-        map (fun t -> Protocol.Privilege t) gen_token;
+        map2
+          (fun t (vnum, granted, counters) ->
+            let pick k x = if k then Some x else None in
+            let handover =
+              match counters with
+              | None -> None
+              | Some (epoch, election, monitor) ->
+                  Some
+                    {
+                      Protocol.ho_view =
+                        { Protocol.vnum;
+                          vmembers =
+                            List.map
+                              (fun mid -> { Protocol.mid; maddr = "" })
+                              (List.init (vnum mod 4) Fun.id) };
+                      ho_granted = pick (vnum mod 2 = 0) (Array.of_list granted);
+                      ho_epoch = pick (epoch > 2) epoch;
+                      ho_election = pick (election mod 3 <> 0) election;
+                      ho_monitor = pick (monitor >= 0) (monitor, epoch);
+                    }
+            in
+            Protocol.Privilege (t, handover))
+          gen_token
+          (triple (int_range 0 20)
+             (list_size (1 -- 6) (int_range (-1) 100))
+             (option
+                (triple (int_range 0 9) (int_range 0 500) (int_range (-1) 5))));
         map (fun t -> Protocol.Monitor_privilege t) gen_token;
         map3
           (fun q granted (arb, counter, election) ->
@@ -237,6 +294,18 @@ let test_frame_header_version () =
         (Printf.sprintf "error names the version (%s)" msg)
         true mentions_version
 
+let test_previous_format_rejected () =
+  (* v4 predates the folded announcement: a v4 peer cannot parse a v5
+     PRIVILEGE, so its frames are refused by version, naming it. *)
+  let h = Wire.Frame.encode_header ~src:3 ~lock:"orders" Wire.Frame.Data in
+  Alcotest.(check int) "this build speaks v5" 5 Wire.format_version;
+  let v4 = "\004" ^ String.sub h 1 (String.length h - 1) in
+  match Wire.Frame.decode_header v4 with
+  | _ -> Alcotest.fail "a v4 header must not decode"
+  | exception Wire.Malformed msg ->
+      Alcotest.(check string) "version error"
+        "frame format version mismatch: peer speaks v4, this node v5" msg
+
 let test_frame_header_lock_truncated () =
   (* A lock-length field promising more key bytes than the frame
      carries must be rejected, not read out of bounds. *)
@@ -259,6 +328,8 @@ let suite =
         test_roundtrip_all;
       Alcotest.test_case "frame header version byte" `Quick
         test_frame_header_version;
+      Alcotest.test_case "v4 frames rejected by version" `Quick
+        test_previous_format_rejected;
       Alcotest.test_case "frame header lock key bounds" `Quick
         test_frame_header_lock_truncated;
       Alcotest.test_case "encodings distinct" `Quick test_distinct_encodings;
