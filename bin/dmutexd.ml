@@ -341,13 +341,7 @@ let run id peers locks demo verbose metrics_every loss heartbeat metrics_addr
         mkdir_p root;
         List.map
           (fun lock ->
-            (* Directory-name encoding shared with the test cluster
-               via the store, so both tools lay out (and can reopen)
-               the same per-lock state directories. *)
-            let dir =
-              Filename.concat root
-                ("lock-" ^ Dmutex_store.Store.dir_name_of_key lock)
-            in
+            let dir = Dmutex_store.Store.lock_dir ~root lock in
             let store = Dmutex_store.Store.open_ ~dir ~key:lock ~n ~obs () in
             match Dmutex_store.Store.view store with
             | None -> (lock, (store, None, []))

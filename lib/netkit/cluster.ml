@@ -63,22 +63,15 @@ struct
 
   let state_dir root i = Filename.concat root (Printf.sprintf "node-%d" i)
 
-  (* Lock keys are arbitrary strings; the store's round-trip-guarded
-     percent-encoding maps every key to a distinct, portable
-     subdirectory name (shared with [bin/dmutexd] so both tools agree
-     on the layout). *)
-  let lock_dir root i key =
-    Filename.concat (state_dir root i)
-      ("lock-" ^ Dmutex_store.Store.dir_name_of_key key)
-
   (* Per-lock store opener for node [i]: each instance recovers from
      (and appends to) its own key-stamped subdirectory. *)
   let open_stores ~root ~n ~obs i ~lock =
     (try Unix.mkdir (state_dir root i) 0o755
      with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     Some
-      (Dmutex_store.Store.open_ ~dir:(lock_dir root i lock) ~key:lock ~n ~obs
-         ())
+      (Dmutex_store.Store.open_
+         ~dir:(Dmutex_store.Store.lock_dir ~root:(state_dir root i) lock)
+         ~key:lock ~n ~obs ())
 
   let try_launch cfg ~base_port ~seed ~locks ~heartbeat_period
       ~suspect_timeout ~state_root ~obs ~trace ~persist ~restore =

@@ -10,6 +10,10 @@ struct
 
   let default_lock = "default"
 
+  (* An entry of the node's deadline wheel: a protocol timer of one
+     instance, or the timeout of one [with_lock] waiter on a lock. *)
+  type wheel_key = Timer of string * A.timer | Waiter of string * int
+
   (* One protocol instance: the pure state machine for one lock key
      plus everything that must be private to it — its mutex, its
      grant condition, its durable store, its lock-labelled metrics.
@@ -27,9 +31,6 @@ struct
     mutable async_pending : int;
         (** [acquire] calls whose grant has not landed yet; such a
             grant is kept held for the caller to [release]. *)
-    mutable abandoned : int;
-        (** [with_lock] timeouts whose stale grant is still owed a
-            drain. *)
   }
 
   type t = {
@@ -44,18 +45,15 @@ struct
     obs_reg : Dmutex_obs.Registry.t option;
     trace : Dmutex_obs.Events.sink option;
     suspicions : Dmutex_obs.Registry.Counter.handle option;
-    (* One shared timer wheel for the whole node: [(lock, timer)] ->
-       absolute wall-clock deadline, guarded by [wheel_mu], drained by
-       a single sleeping thread regardless of how many instances the
-       node hosts. Lock order is instance mutex -> wheel mutex, never
-       the reverse. *)
-    wheel : (string * A.timer, float) Hashtbl.t;
+    (* One deadline wheel for the whole node: [wheel_key] -> absolute
+       wall-clock deadline, guarded by [wheel_mu], drained by a single
+       sleeping thread regardless of how many instances the node
+       hosts. A due [Timer] steps its instance; a due [Waiter] wakes
+       the [with_lock] callers sleeping on that instance's grant
+       condition (no polling) so they can observe the timeout. Lock
+       order is instance mutex -> wheel mutex, never the reverse. *)
+    wheel : (wheel_key, float) Hashtbl.t;
     wheel_mu : Mutex.t;
-    (* [with_lock] timeout deadlines, also guarded by [wheel_mu] and
-       drained by the timer thread: waiters sleep on their instance's
-       grant condition (no polling) and the wheel broadcasts it when a
-       deadline passes so they can observe the timeout. *)
-    waiter_wheel : (int, float * string) Hashtbl.t;
     mutable waiter_seq : int;
     (* Self-pipe waking the timer thread out of its deadline sleep, and
        the absolute deadline that sleep ends at (guarded by [wheel_mu];
@@ -81,9 +79,10 @@ struct
     (* Per-lock committed member sets [(id, addr)]; addr is "" for
        birth members (their endpoints came with the transport).
        Guarded by [live_mu]. The liveness monitor only watches ids in
-       the union across locks, and the frame path drops senders
-       outside it (see the unknown-peer guard in [on_frame]). *)
+       the union across locks. *)
     memberships : (string, (int * string) list) Hashtbl.t;
+    (* Counts the protocol's own membership gate: every frame it drops
+       from a sender outside the view ([nonmember-dropped]). *)
     unknown_peer : Dmutex_obs.Registry.Counter.handle option;
     live_mu : Mutex.t;
     start : float;
@@ -248,7 +247,6 @@ struct
              request, or a recovery re-granted one already satisfied.
              Either way, holding it would freeze the token here
              forever — release immediately so it moves on. *)
-          if inst.abandoned > 0 then inst.abandoned <- inst.abandoned - 1;
           Log.debug (fun m ->
               m "node %d: draining stale grant for %S" t.me inst.key);
           step_locked t inst Cs_done
@@ -260,12 +258,12 @@ struct
     | Set_timer (k, d) ->
         let deadline = Unix.gettimeofday () +. Float.max d 0.0 in
         Mutex.lock t.wheel_mu;
-        Hashtbl.replace t.wheel (inst.key, k) deadline;
+        Hashtbl.replace t.wheel (Timer (inst.key, k)) deadline;
         wake_for t deadline;
         Mutex.unlock t.wheel_mu
     | Cancel_timer k ->
         Mutex.lock t.wheel_mu;
-        Hashtbl.remove t.wheel (inst.key, k);
+        Hashtbl.remove t.wheel (Timer (inst.key, k));
         Mutex.unlock t.wheel_mu
     | Note n ->
         let name = string_of_note n in
@@ -287,6 +285,10 @@ struct
         | Became_arbiter -> trace_emit t ~inst "protocol.became-arbiter" []
         | Membership { vepoch; members } ->
             apply_membership t inst ~vepoch members
+        | Custom "nonmember-dropped" -> (
+            match t.unknown_peer with
+            | Some c -> Dmutex_obs.Registry.Counter.incr c
+            | None -> ())
         | _ -> ());
         Log.debug (fun m -> m "node %d: [%s] %s" t.me inst.key name)
 
@@ -364,6 +366,32 @@ struct
         t.on_suspect i)
       !newly
 
+  (* Serve one due wheel entry. The entry is re-checked under both
+     mutexes: a step for an earlier entry may have cancelled or re-armed
+     this one while neither was held. A lapsed waiter entry is dropped
+     here too (the waiter also removes its own) so it is woken once. *)
+  let fire t wk =
+    (* Entries are only ever added for hosted instances, and the
+       registry is fixed at [create]. *)
+    let inst =
+      Hashtbl.find t.insts (match wk with Timer (lk, _) | Waiter (lk, _) -> lk)
+    in
+    Mutex.lock inst.lock;
+    Mutex.lock t.wheel_mu;
+    let still_due =
+      match Hashtbl.find_opt t.wheel wk with
+      | Some deadline when deadline <= Unix.gettimeofday () ->
+          Hashtbl.remove t.wheel wk;
+          true
+      | Some _ | None -> false
+    in
+    Mutex.unlock t.wheel_mu;
+    (if still_due then
+       match wk with
+       | Timer (_, k) -> step_locked t inst (Timer_fired k)
+       | Waiter _ -> Condition.broadcast inst.granted);
+    Mutex.unlock inst.lock
+
   (* Earliest-deadline sleeping: block in [select] on the wake pipe
      until the next deadline across every instance — protocol timers,
      [with_lock] waiters, the liveness scan — is due, or until a
@@ -383,51 +411,7 @@ struct
           t.wheel []
       in
       Mutex.unlock t.wheel_mu;
-      List.iter
-        (fun ((lk, k) as wk) ->
-          match Hashtbl.find_opt t.insts lk with
-          | None ->
-              Mutex.lock t.wheel_mu;
-              Hashtbl.remove t.wheel wk;
-              Mutex.unlock t.wheel_mu
-          | Some inst ->
-              Mutex.lock inst.lock;
-              (* Re-check under the wheel mutex: a step for an earlier
-                 timer may have cancelled or re-armed this one while
-                 neither mutex was held. *)
-              Mutex.lock t.wheel_mu;
-              let still_due =
-                match Hashtbl.find_opt t.wheel wk with
-                | Some deadline when deadline <= Unix.gettimeofday () ->
-                    Hashtbl.remove t.wheel wk;
-                    true
-                | Some _ | None -> false
-              in
-              Mutex.unlock t.wheel_mu;
-              if still_due then step_locked t inst (Timer_fired k);
-              Mutex.unlock inst.lock)
-        due;
-      (* Expired [with_lock] deadlines: wake the sleeping waiters so
-         they can observe the timeout. The waiter removes its own
-         entry; dropping it here too just saves a redundant wake. *)
-      Mutex.lock t.wheel_mu;
-      let lapsed =
-        Hashtbl.fold
-          (fun id (deadline, lk) acc ->
-            if deadline <= now_abs then (id, lk) :: acc else acc)
-          t.waiter_wheel []
-      in
-      List.iter (fun (id, _) -> Hashtbl.remove t.waiter_wheel id) lapsed;
-      Mutex.unlock t.wheel_mu;
-      List.iter
-        (fun (_, lk) ->
-          match Hashtbl.find_opt t.insts lk with
-          | None -> ()
-          | Some inst ->
-              Mutex.lock inst.lock;
-              Condition.broadcast inst.granted;
-              Mutex.unlock inst.lock)
-        lapsed;
+      List.iter (fire t) due;
       if now_abs >= t.live_next then begin
         t.live_next <- now_abs +. t.live_period;
         check_liveness t now_abs
@@ -436,11 +420,6 @@ struct
       let next =
         Hashtbl.fold (fun _ deadline acc -> Float.min deadline acc) t.wheel
           t.live_next
-      in
-      let next =
-        Hashtbl.fold
-          (fun _ (deadline, _) acc -> Float.min deadline acc)
-          t.waiter_wheel next
       in
       let now_abs = Unix.gettimeofday () in
       let timeout = Float.max 0.0002 (Float.min 1.0 (next -. now_abs)) in
@@ -484,7 +463,7 @@ struct
   let create ?(on_grant = fun ~lock:_ -> ()) ?fault ?heartbeat_period
       ?(suspect_timeout = 1.0) ?(on_suspect = fun _ -> ())
       ?(on_alive = fun _ -> ()) ?seed ?(locks = [ default_lock ]) ?initial
-      ?store ?persist ?obs ?trace ?io_domains cfg ~me ~peers () =
+      ?store ?persist ?obs ?trace cfg ~me ~peers () =
     if locks = [] then
       invalid_arg "Node_runner.create: at least one lock key required";
     let live_period =
@@ -525,7 +504,6 @@ struct
             notes = Hashtbl.create 16;
             waiters = 0;
             async_pending = 0;
-            abandoned = 0;
           })
       locks;
     let t =
@@ -546,7 +524,6 @@ struct
             obs;
         wheel = Hashtbl.create 16;
         wheel_mu = Mutex.create ();
-        waiter_wheel = Hashtbl.create 16;
         waiter_seq = 0;
         wake_rd;
         wake_wr = Some wake_wr;
@@ -601,43 +578,12 @@ struct
       | Some inst -> (
           match C.decode payload with
           | m ->
-              let kind = A.message_kind m in
-              (* Unknown-peer guard: a sender outside this lock's
-                 member set is either excised (its in-flight frames
-                 must not reach the protocol) or a joiner knocking —
-                 membership traffic and a PRIVILEGE hand-off to an
-                 heir are the only frames allowed through. *)
-              let is_member =
-                Mutex.lock t.live_mu;
-                let r =
-                  match Hashtbl.find_opt t.memberships inst.key with
-                  | None -> true
-                  | Some members -> List.mem_assoc src members
-                in
-                Mutex.unlock t.live_mu;
-                r
-              in
-              let membership_traffic =
-                match kind with
-                | "JOIN-REQUEST" | "LEAVE-REQUEST" | "VIEW-CHANGE"
-                | "VIEW-ACK" | "PRIVILEGE" ->
-                    true
-                | _ -> false
-              in
-              if (not is_member) && not membership_traffic then begin
-                (match t.unknown_peer with
-                | Some c -> Dmutex_obs.Registry.Counter.incr c
-                | None -> ());
-                Log.debug (fun f ->
-                    f "node %d: dropping %s from non-member %d for %S" me
-                      kind src lock)
-              end
-              else begin
-                (match inst.pm with
-                | Some pm -> Dmutex_obs.Protocol_metrics.received pm ~kind
-                | None -> ());
-                step t inst (Receive (src, m))
-              end
+              (match inst.pm with
+              | Some pm ->
+                  Dmutex_obs.Protocol_metrics.received pm
+                    ~kind:(A.message_kind m)
+              | None -> ());
+              step t inst (Receive (src, m))
           | exception Wire.Malformed msg ->
               Log.warn (fun f ->
                   f "node %d: dropping bad frame from %d: %s" me src msg))
@@ -645,8 +591,8 @@ struct
     let on_heartbeat ~src = heard t src in
     t.transport <-
       Some
-        (Transport.create ?fault ?heartbeat_period ?seed ?obs ?io_domains
-           ~on_heartbeat ~me ~peers ~on_frame ());
+        (Transport.create ?fault ?heartbeat_period ?seed ?obs ~on_heartbeat
+           ~me ~peers ~on_frame ());
     ignore (Thread.create timer_loop t);
     t
 
@@ -685,14 +631,14 @@ struct
        the node's timer thread, which broadcasts [inst.granted] when it
        lapses, and sleep on the condition in between — the grant path
        wakes us in microseconds instead of a poll interval. *)
-    let wid =
+    let wk =
       Mutex.lock t.wheel_mu;
-      let wid = t.waiter_seq in
-      t.waiter_seq <- wid + 1;
-      Hashtbl.replace t.waiter_wheel wid (deadline, lock);
+      let wk = Waiter (lock, t.waiter_seq) in
+      t.waiter_seq <- t.waiter_seq + 1;
+      Hashtbl.replace t.wheel wk deadline;
       wake_for t deadline;
       Mutex.unlock t.wheel_mu;
-      wid
+      wk
     in
     Mutex.lock inst.lock;
     inst.waiters <- inst.waiters + 1;
@@ -701,7 +647,7 @@ struct
        inst.waiters <- inst.waiters - 1;
        Mutex.unlock inst.lock;
        Mutex.lock t.wheel_mu;
-       Hashtbl.remove t.waiter_wheel wid;
+       Hashtbl.remove t.wheel wk;
        Mutex.unlock t.wheel_mu;
        raise e);
     let rec wait () =
@@ -715,14 +661,13 @@ struct
     in
     let ok = wait () in
     Mutex.lock t.wheel_mu;
-    Hashtbl.remove t.waiter_wheel wid;
+    Hashtbl.remove t.wheel wk;
     Mutex.unlock t.wheel_mu;
+    (* On timeout the REQUEST stays queued cluster-wide; its grant, if
+       it lands with no caller waiting, is drained instead of leaving
+       this node holding a lock nobody wants (see [Enter_cs] in
+       [apply]). *)
     inst.waiters <- inst.waiters - 1;
-    (* On timeout the REQUEST is already queued cluster-wide; mark it
-       abandoned so the grant, when it lands, is drained instead of
-       leaving this node holding a lock nobody wants (see [Enter_cs]
-       in [apply]). *)
-    if not ok then inst.abandoned <- inst.abandoned + 1;
     Mutex.unlock inst.lock;
     ok
 

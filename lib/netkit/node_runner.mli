@@ -7,14 +7,14 @@
     hosts an independent protocol instance per {e lock key}, all
     multiplexed over the node's single transport (frames carry the
     key), sharing one heartbeat/liveness monitor and one timer thread.
-    Timers live in a node-wide wheel keyed by [(lock, timer)] with
-    earliest-deadline sleeping (a [select] on a self-pipe) rather than
-    polling — one sleeping thread per node, not per lock. The thread
-    records the deadline it sleeps toward, and only an earlier one
-    wakes it: cancelling a timer or re-arming it later costs no wake-up.
-    It also serves {!with_lock} timeouts and runs the liveness scan as
-    a recurring deadline, so it is the only thread the runner starts.
-    Timers stay off the transport's reactor domains: moving them there
+    Protocol timers and {!with_lock} timeouts are entries of one
+    node-wide deadline wheel with earliest-deadline sleeping (a
+    [select] on a self-pipe) rather than polling — one sleeping thread
+    per node, not per lock. The thread records the deadline it sleeps
+    toward, and only an earlier one wakes it: cancelling a timer or
+    re-arming it later costs no wake-up. It also runs the liveness scan
+    as a recurring deadline, so it is the only thread the runner starts.
+    Timers stay off the transport's reactor domain: moving them there
     measured no throughput gain and 6–7 MB more resident memory. *)
 
 module Make
@@ -40,14 +40,13 @@ module Make
     ?persist:(A.state -> Dmutex_store.Store.view) ->
     ?obs:Dmutex_obs.Registry.t ->
     ?trace:Dmutex_obs.Events.sink ->
-    ?io_domains:int ->
     Dmutex.Types.Config.t ->
     me:int ->
     peers:Transport.endpoint array ->
     unit ->
     t
   (** Start a node: bind its endpoint, start its timer thread (the
-      only thread the runner adds to the transport's reactor domains),
+      only thread the runner adds to the transport's reactor domain),
       and put one state machine per [locks] entry (default
       [[default_lock]]; duplicates and the empty list are rejected) in
       its initial state. [on_grant] fires (on an internal thread)
@@ -91,11 +90,7 @@ module Make
       them. [trace] plugs in a (normally cluster-shared) structured
       event sink: CS enter/exit, recovery milestones and liveness
       suspicions are recorded with the node id (and lock key, where
-      one applies) attached.
-
-      [io_domains] sizes the transport's reactor pool (see
-      {!Transport.create}); the default of one I/O domain is right for
-      most deployments. *)
+      one applies) attached. *)
 
   val id : t -> int
   (** This node's id (the [me] passed at [create]). *)
@@ -127,10 +122,11 @@ module Make
       {!default_lock}) in [mode] (default [Exclusive]), runs [f], and
       releases. Returns [None] if [timeout] (default 30 s) expires
       before the lock is granted. The abandoned request remains queued
-      cluster-wide, so the node remembers it and {e drains} the stale
-      grant the moment it lands (immediate release, no [on_grant]) — a
-      later [with_lock] can never be granted on the back of an
-      abandoned request. Independent locks never block each other:
+      cluster-wide; a grant that lands while no caller waits for it
+      (no [with_lock] blocked, no {!acquire} pending) is {e drained}
+      the moment it lands (immediate release, no [on_grant]), so the
+      token never freezes at a node nobody is using. Independent locks
+      never block each other:
       each instance has its own mutex and grant condition. *)
 
   val acquire_all :
@@ -193,10 +189,11 @@ module Make
       [lock]: the birth set (addrs [""]) until the first committed
       view's [Membership] note lands, then that view's members. The
       runner keeps the transport peer set and the liveness monitor
-      pointed at the union of these sets across locks; frames from a
-      sender outside a lock's set are dropped before protocol
-      dispatch (counted as [dmutex_unknown_peer_total]), except
-      membership traffic and PRIVILEGE hand-offs. *)
+      pointed at the union of these sets across locks. Every frame
+      reaches the protocol, whose own membership gate drops what a
+      sender outside the committed view may not deliver; each such
+      drop ([nonmember-dropped] note) counts in
+      [dmutex_unknown_peer_total]. *)
 
   val set_loss : t -> float -> unit
   (** Drop outgoing frames with this probability (chaos testing; see

@@ -7,6 +7,9 @@ struct
   module Node = Node_runner.Make (A) (C)
   module WC = Wire.Client
 
+  (* Admission bound on one session's queued acquires, across locks. *)
+  let max_inflight = 32
+
   type conn = {
     fd : Unix.file_descr;
     wmu : Mutex.t;
@@ -66,7 +69,6 @@ struct
     grace_ms : int;
     max_sessions : int;
     max_waiters : int;
-    max_inflight : int;
     mu : Mutex.t;  (** registry, rng, counters *)
     sessions : (string, session) Hashtbl.t;
     locks : (string, lockq) Hashtbl.t;
@@ -502,7 +504,7 @@ struct
     match Hashtbl.find_opt t.locks lock with
     | None -> reject t conn ~rid WC.Unknown_lock ~retry_after_ms:0
     | Some _ when already -> reject t conn ~rid WC.Already_held ~retry_after_ms:0
-    | Some _ when inflight >= t.max_inflight ->
+    | Some _ when inflight >= max_inflight ->
         reject t conn ~rid WC.Queue_full ~retry_after_ms:(t.lease_ms / 4)
     | Some lq ->
         let timeout_ms =
@@ -702,7 +704,7 @@ struct
   (* ---------------------------------------------------------------- *)
 
   let create ?(lease_ms = 5_000) ?grace_ms ?(max_sessions = 1_024)
-      ?(max_waiters = 256) ?(max_inflight = 32) ?obs ?trace:trace_sink ?seed
+      ?(max_waiters = 256) ?obs ?trace:trace_sink ?seed
       ~fencing ~node ~addr () =
     let grace_ms = Option.value grace_ms ~default:lease_ms in
     let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -774,7 +776,6 @@ struct
         grace_ms;
         max_sessions;
         max_waiters;
-        max_inflight;
         mu = Mutex.create ();
         sessions = Hashtbl.create 64;
         locks;

@@ -35,7 +35,7 @@
       its grant state. Past the window the session is gone — loudly.
     - {b Load shedding.} Admission control caps live sessions
       ([max_sessions]), each lock's wait queue ([max_waiters]) and
-      each session's in-flight acquires ([max_inflight]); every
+      each session's in-flight acquires (32); every
       refusal is an explicit [Rejected] with a retry-after hint. No
       request is ever silently dropped. *)
 
@@ -62,7 +62,6 @@ module Make
     ?grace_ms:int ->
     ?max_sessions:int ->
     ?max_waiters:int ->
-    ?max_inflight:int ->
     ?obs:Dmutex_obs.Registry.t ->
     ?trace:Dmutex_obs.Events.sink ->
     ?seed:int ->
@@ -76,8 +75,8 @@ module Make
       fencing token from the protocol state observed inside the CS —
       pass {!Dmutex_store.Protocol_view.fencing_of_state} for the
       stock protocol. Defaults: [lease_ms] 5000, [grace_ms] =
-      [lease_ms], [max_sessions] 1024, [max_waiters] 256 per lock,
-      [max_inflight] 32 per session. [obs] mirrors session activity
+      [lease_ms], [max_sessions] 1024, [max_waiters] 256 per lock.
+      [obs] mirrors session activity
       into the [dmutex_client_*] series; [trace] records session
       lifecycle events. *)
 

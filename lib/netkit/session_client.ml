@@ -16,14 +16,17 @@ let string_of_error = function
 
 type pend = { mutable presp : WC.resp option; mutable pfail : bool }
 
+(* Reconnect schedule: a full sweep of the endpoints that finds none
+   waits [backoff_base * 2^k] seconds, capped at [backoff_cap]. *)
+let backoff_base = 0.05
+let backoff_cap = 2.0
+
 type t = {
   mu : Mutex.t;
   cv : Condition.t;
   wmu : Mutex.t;  (** serializes frame writes on the live socket *)
   addrs : Transport.endpoint array;
   lease_ms : int;
-  backoff_base : float;
-  backoff_cap : float;
   rng : Random.State.t;  (** backoff jitter; guarded by [mu] *)
   mutable rr : int;  (** next endpoint to try (sticks to the last good) *)
   mutable fd : Unix.file_descr option;
@@ -219,8 +222,8 @@ let rec ensure_conn t ~deadline =
                       | `Shedding ms when ms > 0 -> float_of_int ms /. 1000.
                       | _ ->
                           let sweep = t.next_rid land 7 in
-                          Float.min t.backoff_cap
-                            (t.backoff_base *. (2. ** float_of_int sweep))
+                          Float.min backoff_cap
+                            (backoff_base *. (2. ** float_of_int sweep))
                     in
                     base *. (0.5 +. Random.State.float t.rng 1.0)
                   in
@@ -650,9 +653,8 @@ let renew_loop t =
     end
   done
 
-let connect ?(lease_ms = 5_000) ?(backoff = (0.05, 2.0)) ?seed ~addrs () =
+let connect ?(lease_ms = 5_000) ?seed ~addrs () =
   if addrs = [] then invalid_arg "Session_client.connect: no endpoints";
-  let backoff_base, backoff_cap = backoff in
   let seed =
     match seed with
     | Some s -> s
@@ -667,8 +669,6 @@ let connect ?(lease_ms = 5_000) ?(backoff = (0.05, 2.0)) ?seed ~addrs () =
       wmu = Mutex.create ();
       addrs = Array.of_list addrs;
       lease_ms;
-      backoff_base;
-      backoff_cap;
       rng = Random.State.make [| seed; 0xc11e |];
       rr = 0;
       fd = None;

@@ -45,15 +45,14 @@ type t
 
 val connect :
   ?lease_ms:int ->
-  ?backoff:float * float ->
   ?seed:int ->
   addrs:Transport.endpoint list ->
   unit ->
   t
 (** Create a client for the session services at [addrs]. Connection
     is lazy — the first call dials. [lease_ms] (default 5000) is the
-    requested lease; [backoff] is [(base, cap)] seconds for the
-    reconnect schedule (default [0.05, 2.0]); [seed] fixes the jitter
+    requested lease; reconnect sweeps back off from 0.05 s, doubling
+    to a 2 s cap; [seed] fixes the jitter
     RNG for reproducible tests. Raises [Invalid_argument] on an empty
     endpoint list. *)
 

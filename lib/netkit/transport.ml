@@ -2,12 +2,12 @@
 
    The previous transport spent a thread per inbound connection plus a
    writer thread per peer channel, one [Unix.write] per frame and a
-   fresh [Bytes.create] per frame on both paths. This version runs a
-   small fixed pool of I/O event loops ({!Reactor}, one domain each
-   via [Simkit.Domainx]) over non-blocking sockets:
+   fresh [Bytes.create] per frame on both paths. This version runs one
+   I/O event loop ({!Reactor}, on its own domain via [Simkit.Domainx])
+   over non-blocking sockets:
 
-   - outbound frames land in a per-peer ring buffer; the owning
-     reactor serializes every queued frame — across all lock instances
+   - outbound frames land in a per-peer ring buffer; the reactor
+     serializes every queued frame — across all lock instances
      multiplexed on the connection — into one pooled flush buffer and
      pushes it with one [write] (a coalesced flush);
    - inbound bytes are read into a per-connection pooled buffer and
@@ -62,18 +62,8 @@ let max_frame_len = 64 * 1024 * 1024
    remainder goes in the next flush. *)
 let flush_bytes_cap = 256 * 1024
 
-(* A count from the environment: unset means [default]; anything but a
-   positive integer is a usage error naming the variable, never a
-   silent fallback. *)
-let env_positive_int name ~default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "%s must be a positive integer, got %S" name s))
+(* Bound on each per-peer ring; a send to a full ring is shed. *)
+let max_queue = 1024
 
 (* ------------------------------------------------------------------ *)
 (* Coalesced flush buffer: frames serialize into one pooled [Bytes.t]
@@ -192,7 +182,7 @@ type obs_handles = {
   o_queue_depth : Dmutex_obs.Registry.Gauge.handle;
 }
 
-(* Outbound connection state, owned by the peer's reactor. *)
+(* Outbound connection state, owned by the reactor. *)
 type conn =
   | Off
   | Connecting of Unix.file_descr * float (* fd, give-up deadline *)
@@ -200,15 +190,14 @@ type conn =
 
 type peer = {
   dst : int;
-  reactor : int; (* index of the owning reactor *)
   mu : Mutex.t; (* guards [ring] *)
   ring : Ring.t;
   retired : bool Atomic.t;
       (* Excised from the membership view: sends are shed, the
-         connection is torn down by the owning reactor, and the slot
+         connection is torn down by the reactor, and the slot
          stays dead until [add_peer] revives it (a rejoin). *)
   mutable endpoint : endpoint; (* may be re-pointed on rejoin *)
-  (* Everything below is touched only by the owning reactor. *)
+  (* Everything below is touched only by the reactor. *)
   mutable conn : conn;
   mutable next_attempt : float;
   mutable backoff : float;
@@ -236,11 +225,10 @@ type t = {
   listener : Unix.file_descr;
   mutable ps : peer array;
   peers_mu : Mutex.t; (* guards replacement of [peers]/[ps] *)
-  reactors : Reactor.t array;
-  iconns : (Unix.file_descr, iconn) Hashtbl.t array; (* per reactor *)
-  max_queue : int;
+  reactor : Reactor.t;
+  iconns : (Unix.file_descr, iconn) Hashtbl.t; (* reactor-owned *)
   heartbeat_period : float option;
-  hb_next : float ref; (* reactor-0 owned *)
+  hb_next : float ref; (* reactor-owned *)
   obs : obs_handles option;
   stats : Mutex.t;
   mutable sent : int;
@@ -254,8 +242,7 @@ type t = {
   loss_rng : Random.State.t;
   backoff_rng : Random.State.t;
   cork_depth : int Atomic.t;
-  pending_wake : bool Atomic.t array; (* per reactor *)
-  accept_rr : int ref; (* reactor-0 owned: inbound round-robin *)
+  pending_wake : bool Atomic.t;
 }
 
 let closed t = Atomic.get t.closed
@@ -293,27 +280,23 @@ let jittered t backoff =
 (* Waking and corking.
 
    Senders never touch the reactor state; they push into the ring and
-   wake the owning reactor through a deduplicated flag, so a burst of
+   wake the reactor through a deduplicated flag, so a burst of
    sends costs at most one pipe write. [cork]/[uncork] suspend even
    that: while corked, wakes are latched and delivered on the last
    uncork — the protocol layer corks around a state-machine step so
    every frame the step emits rides one reactor pass (and usually one
    coalesced flush per peer). *)
 
-let wake_reactor t k =
-  Atomic.set t.pending_wake.(k) true;
+let wake_reactor t =
+  Atomic.set t.pending_wake true;
   if Atomic.get t.cork_depth = 0 then
-    if Atomic.exchange t.pending_wake.(k) false then
-      Reactor.wake t.reactors.(k)
+    if Atomic.exchange t.pending_wake false then Reactor.wake t.reactor
 
 let cork t = ignore (Atomic.fetch_and_add t.cork_depth 1)
 
 let uncork t =
   if Atomic.fetch_and_add t.cork_depth (-1) = 1 then
-    Array.iteri
-      (fun k pending ->
-        if Atomic.exchange pending false then Reactor.wake t.reactors.(k))
-      t.pending_wake
+    if Atomic.exchange t.pending_wake false then Reactor.wake t.reactor
 
 (* ------------------------------------------------------------------ *)
 (* Send path (any thread).                                             *)
@@ -340,7 +323,7 @@ let enqueue t ~dst ~counted ~kind ~lock payload =
     end
   in
   Mutex.unlock pe.mu;
-  if ok then wake_reactor t pe.reactor;
+  if ok then wake_reactor t;
   ok
 
 let send_kind t ~dst ~lock ~counted kind payload =
@@ -392,13 +375,11 @@ let broadcast t ?(lock = "") payload =
 (* ------------------------------------------------------------------ *)
 (* Outbound reactor side: connect, coalesce, flush.                    *)
 
-let reactor_of t pe = t.reactors.(pe.reactor)
-
-let set_write_interest t pe fd w =
-  Reactor.modify (reactor_of t pe) fd ~read:false ~write:w
+let set_write_interest t fd w =
+  Reactor.modify t.reactor fd ~read:false ~write:w
 
 let close_conn_fd t pe fd =
-  Reactor.remove (reactor_of t pe) fd;
+  Reactor.remove t.reactor fd;
   (try Unix.close fd with _ -> ());
   pe.conn <- Off
 
@@ -487,7 +468,7 @@ let refill t pe =
 let rec flush_peer t pe fd now =
   if pe.fb_pos >= Flush.length pe.fb then refill t pe;
   let remaining = Flush.length pe.fb - pe.fb_pos in
-  if remaining = 0 then set_write_interest t pe fd false
+  if remaining = 0 then set_write_interest t fd false
   else
     match Flush.write pe.fb fd ~pos:pe.fb_pos with
     | n ->
@@ -507,11 +488,11 @@ let rec flush_peer t pe fd now =
           | _ -> ()
         in
         settle ();
-        if pe.fb_pos < Flush.length pe.fb then set_write_interest t pe fd true
+        if pe.fb_pos < Flush.length pe.fb then set_write_interest t fd true
         else if ring_pending pe then flush_peer t pe fd now
-        else set_write_interest t pe fd false
+        else set_write_interest t fd false
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        set_write_interest t pe fd true
+        set_write_interest t fd true
     | exception (Unix.Unix_error _ | Sys_error _) -> conn_broken t pe fd
 
 let on_connected t pe fd now =
@@ -533,14 +514,14 @@ let rec start_connect t pe now upd =
     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string ep.host, ep.port))
   with
   | () ->
-      Reactor.add (reactor_of t pe) fd ~read:false ~write:false
+      Reactor.add t.reactor fd ~read:false ~write:false
         (fun ~readable:_ ~writable:_ ->
           conn_event t pe fd);
       on_connected t pe fd now
   | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) ->
       let deadline = now +. connect_timeout in
       pe.conn <- Connecting (fd, deadline);
-      Reactor.add (reactor_of t pe) fd ~read:false ~write:true
+      Reactor.add t.reactor fd ~read:false ~write:true
         (fun ~readable:_ ~writable ->
           if writable then conn_event t pe fd);
       upd deadline
@@ -558,7 +539,7 @@ and conn_event t pe fd =
     | Connecting (cfd, _) when cfd = fd -> (
         match Unix.getsockopt_error fd with
         | None ->
-            Reactor.modify (reactor_of t pe) fd ~read:false ~write:false;
+            Reactor.modify t.reactor fd ~read:false ~write:false;
             on_connected t pe fd now
         | Some _ ->
             close_conn_fd t pe fd;
@@ -604,9 +585,9 @@ let service_peer t pe now upd =
 (* ------------------------------------------------------------------ *)
 (* Inbound reactor side: accept, buffered parse, dispatch.             *)
 
-let close_iconn t k ic =
-  Reactor.remove t.reactors.(k) ic.ic_fd;
-  Hashtbl.remove t.iconns.(k) ic.ic_fd;
+let close_iconn t ic =
+  Reactor.remove t.reactor ic.ic_fd;
+  Hashtbl.remove t.iconns ic.ic_fd;
   (try Unix.close ic.ic_fd with _ -> ());
   Bufpool.give ic.rbuf;
   ic.rbuf <- Bytes.create 0
@@ -667,7 +648,7 @@ let parse_frames t ic =
     ic.rlen <- 0
   end
 
-let iconn_readable t k ic =
+let iconn_readable t ic =
   try
     let progress = ref true in
     let budget = ref 8 in
@@ -694,26 +675,18 @@ let iconn_readable t k ic =
           ()
     done
   with
-  | End_of_file | Unix.Unix_error _ -> close_iconn t k ic
+  | End_of_file | Unix.Unix_error _ -> close_iconn t ic
   | Bad_stream msg | Failure msg | Wire.Malformed msg ->
       Log.warn (fun m -> m "reader stopped: %s" msg);
-      close_iconn t k ic
+      close_iconn t ic
 
 let register_inbound t fd =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ());
-  let k = !(t.accept_rr) mod Array.length t.reactors in
-  t.accept_rr := !(t.accept_rr) + 1;
   let ic = { ic_fd = fd; rbuf = Bufpool.take Bufpool.min_size; rlen = 0; rpos = 0 } in
-  let install () =
-    if closed t then (try Unix.close fd with _ -> ())
-    else begin
-      Hashtbl.replace t.iconns.(k) fd ic;
-      Reactor.add t.reactors.(k) fd ~read:true ~write:false
-        (fun ~readable ~writable:_ -> if readable then iconn_readable t k ic)
-    end
-  in
-  if k = 0 then install () else Reactor.post t.reactors.(k) install
+  Hashtbl.replace t.iconns fd ic;
+  Reactor.add t.reactor fd ~read:true ~write:false
+    (fun ~readable ~writable:_ -> if readable then iconn_readable t ic)
 
 let listener_readable t =
   let continue = ref true in
@@ -726,10 +699,10 @@ let listener_readable t =
   done
 
 (* ------------------------------------------------------------------ *)
-(* The per-reactor tick: heartbeats (reactor 0), then every owned
-   peer. Returns the earliest deadline this reactor must wake for. *)
+(* The reactor tick: heartbeats, then every peer. Returns the earliest
+   deadline the reactor must wake for. *)
 
-let tick t k now =
+let tick t now =
   if closed t then None
   else begin
     let next = ref None in
@@ -739,7 +712,7 @@ let tick t k now =
       | Some d' -> if d < d' then next := Some d
     in
     (match t.heartbeat_period with
-    | Some p when k = 0 ->
+    | Some p ->
         if now >= !(t.hb_next) then begin
           let ps = t.ps in
           for dst = 0 to Array.length ps - 1 do
@@ -758,20 +731,18 @@ let tick t k now =
           t.hb_next := now +. p
         end;
         upd !(t.hb_next)
-    | Some _ | None -> ());
+    | None -> ());
     Array.iter
-      (fun pe ->
-        if pe.dst <> t.me && pe.reactor = k then service_peer t pe now upd)
+      (fun pe -> if pe.dst <> t.me then service_peer t pe now upd)
       t.ps;
     !next
   end
 
 (* ------------------------------------------------------------------ *)
 
-let make_peer ~n_io ~max_queue ~retired dst endpoint =
+let make_peer ~retired dst endpoint =
   {
     dst;
-    reactor = dst mod n_io;
     mu = Mutex.create ();
     ring = Ring.create max_queue;
     retired = Atomic.make retired;
@@ -786,22 +757,12 @@ let make_peer ~n_io ~max_queue ~retired dst endpoint =
     last_tx = 0.0;
   }
 
-let create ?fault ?heartbeat_period ?(max_queue = 1024) ?(seed = 0x10ad)
-    ?(on_heartbeat = fun ~src:_ -> ()) ?obs ?io_domains ~me ~peers
-    ~on_frame () =
+let create ?fault ?heartbeat_period ?(seed = 0x10ad)
+    ?(on_heartbeat = fun ~src:_ -> ()) ?obs ~me ~peers ~on_frame () =
   (* A write to a peer that closed mid-stream must surface as [EPIPE]
      for the flush path to handle, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let n_io =
-    match io_domains with
-    | Some v when v > 0 -> v
-    | Some v ->
-        invalid_arg
-          (Printf.sprintf "Transport.create: io_domains must be positive, got %d"
-             v)
-    | None -> env_positive_int "DMUTEX_IO_DOMAINS" ~default:1
-  in
   let ep = peers.(me) in
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
@@ -809,10 +770,10 @@ let create ?fault ?heartbeat_period ?(max_queue = 1024) ?(seed = 0x10ad)
     (Unix.ADDR_INET (Unix.inet_addr_of_string ep.host, ep.port));
   Unix.listen listener 64;
   Unix.set_nonblock listener;
-  let reactors = Array.init n_io (fun _ -> Reactor.create ()) in
+  let reactor = Reactor.create () in
   let ps =
     Array.init (Array.length peers) (fun dst ->
-        make_peer ~n_io ~max_queue ~retired:false dst peers.(dst))
+        make_peer ~retired:false dst peers.(dst))
   in
   let now = Unix.gettimeofday () in
   let t =
@@ -825,9 +786,8 @@ let create ?fault ?heartbeat_period ?(max_queue = 1024) ?(seed = 0x10ad)
       listener;
       ps;
       peers_mu = Mutex.create ();
-      reactors;
-      iconns = Array.init n_io (fun _ -> Hashtbl.create 8);
-      max_queue;
+      reactor;
+      iconns = Hashtbl.create 8;
       heartbeat_period;
       hb_next = ref (now +. Option.value ~default:0.0 heartbeat_period);
       obs =
@@ -864,14 +824,13 @@ let create ?fault ?heartbeat_period ?(max_queue = 1024) ?(seed = 0x10ad)
       loss_rng = Random.State.make [| seed; me |];
       backoff_rng = Random.State.make [| seed; me; 0xb0ff |];
       cork_depth = Atomic.make 0;
-      pending_wake = Array.init n_io (fun _ -> Atomic.make false);
-      accept_rr = ref 0;
+      pending_wake = Atomic.make false;
     }
   in
-  Reactor.add reactors.(0) listener ~read:true ~write:false
+  Reactor.add reactor listener ~read:true ~write:false
     (fun ~readable ~writable:_ -> if readable then listener_readable t);
-  Array.iteri (fun k r -> Reactor.set_tick r (fun now -> tick t k now)) reactors;
-  Array.iter Reactor.start reactors;
+  Reactor.set_tick reactor (tick t);
+  Reactor.start reactor;
   t
 
 let set_loss t p =
@@ -900,17 +859,13 @@ let add_peer t ~dst ~host ~port =
       Atomic.set pe.retired false
     end
     else begin
-      let n_io = Array.length t.reactors in
       (* Gap slots (ids between the old length and [dst]) are born
          retired: they exist only so the array is dense. *)
       let ps' =
         Array.init (dst + 1) (fun i ->
             if i < len then t.ps.(i)
-            else if i = dst then
-              make_peer ~n_io ~max_queue:t.max_queue ~retired:false i ep
-            else
-              make_peer ~n_io ~max_queue:t.max_queue ~retired:true i
-                { host = "127.0.0.1"; port = 0 })
+            else if i = dst then make_peer ~retired:false i ep
+            else make_peer ~retired:true i { host = "127.0.0.1"; port = 0 })
       in
       let peers' =
         Array.init (dst + 1) (fun i ->
@@ -922,16 +877,16 @@ let add_peer t ~dst ~host ~port =
       t.peers <- peers'
     end;
     Mutex.unlock t.peers_mu;
-    wake_reactor t t.ps.(dst).reactor
+    wake_reactor t
   end
 
 let retire_peer t ~dst =
   if dst >= 0 && dst < Array.length t.ps && dst <> t.me then begin
     let pe = t.ps.(dst) in
     if not (Atomic.exchange pe.retired true) then
-      (* The owning reactor tears the connection down and drains the
-         ring on its next pass. *)
-      wake_reactor t pe.reactor
+      (* The reactor tears the connection down and drains the ring on
+         its next pass. *)
+      wake_reactor t
   end
 
 let peer_retired t ~dst =
@@ -974,24 +929,20 @@ let metrics t =
   { m with queue_depth = qd }
 
 (* Must not be called from a transport callback (it joins the I/O
-   domains). Safe to call more than once. *)
+   domain). Safe to call more than once. *)
 let close t =
   if not (Atomic.exchange t.closed true) then begin
-    Array.iteri
-      (fun k r ->
-        Reactor.post r (fun () ->
-            if k = 0 then (try Unix.close t.listener with _ -> ());
-            Hashtbl.iter (fun _ ic -> close_iconn t k ic)
-              (Hashtbl.copy t.iconns.(k));
-            Array.iter
-              (fun pe ->
-                if pe.reactor = k && pe.dst <> t.me then begin
-                  (match pe.conn with
-                  | On fd | Connecting (fd, _) -> close_conn_fd t pe fd
-                  | Off -> ());
-                  Flush.release pe.fb
-                end)
-              t.ps))
-      t.reactors;
-    Array.iter Reactor.stop t.reactors
+    Reactor.post t.reactor (fun () ->
+        (try Unix.close t.listener with _ -> ());
+        Hashtbl.iter (fun _ ic -> close_iconn t ic) (Hashtbl.copy t.iconns);
+        Array.iter
+          (fun pe ->
+            if pe.dst <> t.me then begin
+              (match pe.conn with
+              | On fd | Connecting (fd, _) -> close_conn_fd t pe fd
+              | Off -> ());
+              Flush.release pe.fb
+            end)
+          t.ps);
+    Reactor.stop t.reactor
   end

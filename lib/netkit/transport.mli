@@ -7,10 +7,9 @@
     lock key.
 
     A {!t} owns one listening socket plus one {e supervised outbound
-    channel} per peer, all driven by a small fixed pool of I/O event
-    loops ({!Reactor}, one domain each). Outbound frames land in a
-    bounded per-peer ring buffer; the owning reactor (re)connects
-    lazily with capped exponential backoff and jitter, serializes
+    channel} per peer, all driven by one I/O event loop ({!Reactor}, on
+    its own domain). Outbound frames land in a bounded per-peer ring
+    buffer (1024 frames); the reactor (re)connects lazily with capped exponential backoff and jitter, serializes
     every queued frame for a peer into one pooled buffer and flushes it
     with one [write] syscall (a {e coalesced flush}). A dead or slow
     peer can therefore only stall its own ring — never sends to the
@@ -18,7 +17,7 @@
     unsent tail of the interrupted flush instead of losing it.
     Incoming frames are parsed in place out of pooled per-connection
     buffers, many per syscall, and handed to the receive callback on
-    the reactor that owns the connection. *)
+    the reactor. *)
 
 type endpoint = { host : string; port : int }
 
@@ -50,19 +49,17 @@ type t
 val create :
   ?fault:Fault.t ->
   ?heartbeat_period:float ->
-  ?max_queue:int ->
   ?seed:int ->
   ?on_heartbeat:(src:int -> unit) ->
   ?obs:Dmutex_obs.Registry.t ->
-  ?io_domains:int ->
   me:int ->
   peers:endpoint array ->
   on_frame:(src:int -> lock:string -> string -> unit) ->
   unit ->
   t
 (** [create ~me ~peers ~on_frame ()] binds and listens on
-    [peers.(me)].port and starts the reactor pool. [on_frame] runs on
-    reactor domains; it must be thread-safe, must not call {!close},
+    [peers.(me)].port and starts the reactor. [on_frame] runs on the
+    reactor's domain; it must be thread-safe, must not call {!close},
     and receives the lock key the frame was addressed to so the caller
     can route it to the right protocol instance. Each frame carries
     the sender's id, so [src] is trustworthy only on a trusted network
@@ -76,26 +73,20 @@ val create :
     each period — except peers some frame was already written to
     within the period, whose traffic {e piggybacks} the liveness
     signal; arrivals are reported via [on_heartbeat] and feed
-    peer-liveness monitoring upstream. [max_queue] bounds each
-    per-peer ring (default 1024 frames); [seed] makes the loss and
+    peer-liveness monitoring upstream. [seed] makes the loss and
     backoff-jitter draws reproducible. [obs] mirrors every counter
     bump into that registry's [dmutex_transport_*] series
     ({!Dmutex_obs.Names}); [metrics] reads additionally sample the
     queue depth into its gauge.
 
     Every queued frame goes out on the next reactor pass, which
-    already batches whatever a protocol step produced (see {!cork}).
-    [io_domains] (default
-    [DMUTEX_IO_DOMAINS] or 1) sizes the reactor pool; peers are
-    assigned round-robin. A value that is not a positive integer, in
-    the argument or the variable, raises [Invalid_argument] before
-    anything is opened. *)
+    already batches whatever a protocol step produced (see {!cork}). *)
 
 val send : t -> dst:int -> ?lock:string -> string -> bool
 (** Frame a payload for lock instance [lock] (default [""]) and hand
     it to [dst]'s outbound ring. Returns [false] only if the transport
     is closed, [dst] is this node or out of range, or the ring is full
-    — [true] means {e accepted}, not yet written: the owning reactor
+    — [true] means {e accepted}, not yet written: the reactor
     delivers (or retries and eventually sheds) it asynchronously. A
     frame eaten by chaos ({!set_loss}, or a [fault] that severs [dst])
     also returns [true]: to the caller the network ate it, which is
@@ -108,7 +99,7 @@ val broadcast : t -> ?lock:string -> string -> int
 
 val cork : t -> unit
 (** Suspend reactor wake-ups: frames sent while corked are queued but
-    the owning reactors are only woken by the matching {!uncork}, so
+    the reactor is only woken by the matching {!uncork}, so
     everything sent inside a cork window coalesces into the same
     flush(es). Nestable; cheap (two atomic ops). The protocol layer
     corks around a state-machine step so every frame the step emits —
@@ -116,7 +107,7 @@ val cork : t -> unit
     rides one syscall per peer. *)
 
 val uncork : t -> unit
-(** Leave the cork window, waking every reactor with latched sends. *)
+(** Leave the cork window, waking the reactor if a send was latched. *)
 
 val set_loss : t -> float -> unit
 (** Drop each outgoing frame with this probability {e before} it
@@ -138,7 +129,7 @@ val add_peer : t -> dst:int -> host:string -> port:int -> unit
 
 val retire_peer : t -> dst:int -> unit
 (** Mark [dst] excised from the membership view: subsequent sends to
-    it are shed (counted as dropped), and the owning reactor tears
+    it are shed (counted as dropped), and the reactor tears
     down its connection and drains its queue on the next pass. The
     slot stays allocated — {!add_peer} revives it on rejoin.
     Idempotent; unknown ids are ignored. *)
@@ -149,7 +140,7 @@ val peer_retired : t -> dst:int -> bool
 val metrics : t -> metrics
 
 val close : t -> unit
-(** Stop the reactor pool (joining its domains) and close every
+(** Stop the reactor (joining its domain) and close every
     socket. Queued frames are discarded. Idempotent. Must not be
     called from a transport callback. *)
 

@@ -45,8 +45,8 @@ let view_epoch = "dmutex_view_epoch" (* gauge, label: lock *)
 let member_count = "dmutex_member_count" (* gauge, label: lock *)
 
 let unknown_peer_total = "dmutex_unknown_peer_total"
-(* frames from a sender outside every current member set, dropped
-   before protocol dispatch *)
+(* frames from a sender outside the lock's committed view that the
+   protocol's membership gate dropped ([nonmember-dropped] notes) *)
 
 (* Client session layer. [client_fencing] and the per-lock counters
    carry [lock=<key>]; rejections carry [reason=<reject reason>]. *)

@@ -83,6 +83,8 @@ let dir_name_of_key key =
       key name back;
   name
 
+let lock_dir ~root key = Filename.concat root ("lock-" ^ dir_name_of_key key)
+
 (* ------------------------------------------------------------------ *)
 (* Fencing tokens                                                      *)
 

@@ -80,9 +80,13 @@ val dir_name_of_key : string -> string
     [[A-Za-z0-9_-]] are percent-encoded (lowercase hex). Guarded by an
     encode→decode round trip — if the encoding would not decode back
     to the exact key (so two distinct keys could share a state
-    directory), raises {!Corrupt} instead of returning. Shared by
-    every tool that lays out per-lock state directories so they all
-    agree on the mapping. *)
+    directory), raises {!Corrupt} instead of returning. *)
+
+val lock_dir : root:string -> string -> string
+(** [lock_dir ~root key] is the state directory of lock [key] under a
+    node's state directory [root]: [root/lock-<dir_name_of_key key>].
+    The one definition of the per-lock layout, shared by every tool
+    that opens per-lock stores so they all agree on it. *)
 
 val key_of_dir_name : string -> string
 (** Inverse of {!dir_name_of_key}; accepts both hex cases in

@@ -407,6 +407,99 @@ let test_prioritized_rw_keyed () =
   in
   Alcotest.(check bool) "some shared grants overlapped" true batched
 
+module RNode = Netkit.Node_runner.Make (Dmutex.Resilient) (Wire.Protocol_codec)
+
+let test_single_membership_gate () =
+  (* Node 3's committed view excludes node 2, which was excised while it
+     held node 1's REQUEST and relays it over the wire. The protocol's
+     membership gate is the only one a live node runs: the relayed
+     request reaches the protocol (node 3 passes it on to its arbiter),
+     while a NEW-ARBITER from the same non-member is dropped and counted
+     in [dmutex_unknown_peer_total]. *)
+  let open Dmutex in
+  let n = 4 in
+  let cfg = Resilient.config ~n () in
+  let peers =
+    Array.init n (fun i ->
+        { Netkit.Transport.host = "127.0.0.1"; port = 8751 + i })
+  in
+  let reg = Dmutex_obs.Registry.create () in
+  let node = RNode.create ~obs:reg cfg ~me:3 ~peers () in
+  let view =
+    {
+      Protocol.vnum = 1;
+      vmembers = List.map (fun mid -> { Protocol.mid; maddr = "" }) [ 0; 1; 3 ];
+    }
+  in
+  RNode.inject node
+    (Types.Receive
+       ( 0,
+         Protocol.View_change
+           {
+             vc_view = view;
+             vc_commit = true;
+             vc_granted = Qlist.Granted.create n;
+             vc_epoch = 0;
+             vc_election = 0;
+             vc_arbiter = 0;
+           } ));
+  Alcotest.(check (list int)) "committed view excludes node 2" [ 0; 1; 3 ]
+    (List.sort compare (List.map fst (RNode.membership node)));
+  let unknown =
+    Dmutex_obs.Registry.Counter.get reg Dmutex_obs.Names.unknown_peer_total
+  in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd
+    (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", peers.(3).port));
+  let send_as_2 m =
+    let body =
+      Wire.Frame.encode_header ~src:2 ~lock:RNode.default_lock Wire.Frame.Data
+      ^ Wire.Protocol_codec.encode m
+    in
+    let len = Bytes.create 4 in
+    Bytes.set_int32_be len 0 (Int32.of_int (String.length body));
+    let frame = Bytes.cat len (Bytes.of_string body) in
+    ignore (Unix.write fd frame 0 (Bytes.length frame))
+  in
+  let wait_for pred =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (pred ())) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done;
+    pred ()
+  in
+  send_as_2 (Protocol.Request (Qlist.entry ~node:1 ~seq:0 ()));
+  let relayed =
+    wait_for (fun () -> RNode.note_count node "stash-forwarded" > 0)
+  in
+  Alcotest.(check bool) "member's request reached the protocol" true relayed;
+  Alcotest.(check int) "nothing counted as unknown-peer" 0
+    (Dmutex_obs.Registry.Counter.value unknown);
+  let st = RNode.state node in
+  send_as_2
+    (Protocol.New_arbiter
+       {
+         na_arbiter = 2;
+         na_q = [];
+         na_granted = Qlist.Granted.create n;
+         na_counter = 0;
+         na_monitor = -1;
+         na_epoch = 0;
+         na_election = st.Protocol.election + 1;
+         na_view = view;
+       });
+  let counted =
+    wait_for (fun () -> Dmutex_obs.Registry.Counter.value unknown > 0)
+  in
+  Unix.close fd;
+  RNode.shutdown node;
+  Alcotest.(check bool) "non-member's NEW-ARBITER counted" true counted;
+  Alcotest.(check int) "counted once" 1
+    (Dmutex_obs.Registry.Counter.value unknown);
+  Alcotest.(check int) "dropped by the protocol's gate" 1
+    (RNode.note_count node "nonmember-dropped");
+  Alcotest.(check int) "arbiter unchanged" 0 (RNode.state node).Protocol.arbiter
+
 let suite =
   ( "netkit",
     [
@@ -429,4 +522,6 @@ let suite =
         test_with_locks_transactions;
       Alcotest.test_case "rw policy under the keyed namespace" `Slow
         test_prioritized_rw_keyed;
+      Alcotest.test_case "one membership gate on a live node" `Quick
+        test_single_membership_gate;
     ] )

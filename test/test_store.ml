@@ -295,7 +295,12 @@ let test_dir_name_roundtrip () =
         (Printf.sprintf "round-trip %S" key)
         key
         (Store.key_of_dir_name dir))
-    keys
+    keys;
+  (* The per-lock layout under a node's state directory is on disk:
+     restarts of older nodes must find their stores where they left
+     them. *)
+  Alcotest.(check string) "per-lock directory" "node-0/lock-with%2fslash"
+    (Store.lock_dir ~root:"node-0" "with/slash")
 
 let test_dir_name_legacy_uppercase () =
   (* Early tools percent-encoded with uppercase hex; the decoder must

@@ -628,67 +628,6 @@ let test_loss_probability_validated () =
   Alcotest.(check (list (float 0.0))) "out-of-range values rejected" [] bad;
   Alcotest.(check (list (float 0.0))) "probabilities accepted" [] good
 
-let test_io_domains_validated () =
-  (* The reactor-pool size, from the argument or from
-     DMUTEX_IO_DOMAINS, is a positive integer or a usage error that
-     names its source; garbage never silently means the default. *)
-  let peers =
-    [|
-      { Netkit.Transport.host = "127.0.0.1"; port = 8751 };
-      { Netkit.Transport.host = "127.0.0.1"; port = 8752 };
-    |]
-  in
-  let create ?io_domains () =
-    Netkit.Transport.create ?io_domains ~me:0 ~peers
-      ~on_frame:(fun ~src:_ ~lock:_ _ -> ())
-      ()
-  in
-  let rejection ?io_domains () =
-    match create ?io_domains () with
-    | tr ->
-        Netkit.Transport.close tr;
-        None
-    | exception Invalid_argument msg -> Some msg
-  in
-  let names_variable = function
-    | Some msg ->
-        let v = "DMUTEX_IO_DOMAINS" in
-        let rec has i =
-          i + String.length v <= String.length msg
-          && (String.sub msg i (String.length v) = v || has (i + 1))
-        in
-        has 0
-    | None -> false
-  in
-  let saved = Sys.getenv_opt "DMUTEX_IO_DOMAINS" in
-  let with_env v f =
-    Unix.putenv "DMUTEX_IO_DOMAINS" v;
-    Fun.protect f ~finally:(fun () ->
-        Unix.putenv "DMUTEX_IO_DOMAINS" (Option.value saved ~default:"1"))
-  in
-  List.iter
-    (fun v ->
-      with_env v (fun () ->
-          Alcotest.(check bool)
-            (Printf.sprintf "DMUTEX_IO_DOMAINS=%S rejected, naming it" v)
-            true
-            (names_variable (rejection ()))))
-    [ "abc"; "-2"; "0"; ""; "1.5" ];
-  with_env "2" (fun () ->
-      Alcotest.(check (option string)) "DMUTEX_IO_DOMAINS=2 accepted" None
-        (rejection ()));
-  with_env "abc" (fun () ->
-      Alcotest.(check (option string)) "the argument wins over the variable"
-        None
-        (rejection ~io_domains:1 ()));
-  List.iter
-    (fun n ->
-      Alcotest.(check bool)
-        (Printf.sprintf "io_domains:%d rejected" n)
-        true
-        (rejection ~io_domains:n () <> None))
-    [ 0; -1 ]
-
 let test_reconnect_preserves_pending_ring () =
   (* Frames queued against a not-yet-listening endpoint must survive
      the failed connect attempts and all land, in order, once the
@@ -895,8 +834,6 @@ let suite =
         test_partition_inside_cork;
       Alcotest.test_case "loss probability validated" `Quick
         test_loss_probability_validated;
-      Alcotest.test_case "io domains validated" `Quick
-        test_io_domains_validated;
       Alcotest.test_case "reconnect preserves pending ring" `Slow
         test_reconnect_preserves_pending_ring;
     ] )
