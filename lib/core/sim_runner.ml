@@ -38,6 +38,9 @@ let pp_outcome ppf o =
     o.retransmits o.dropped_requests o.monitor_passes o.safety_violations
     o.unserved
 
+(* The simulator runs one lock instance. *)
+let lock = "default"
+
 module Make (A : Types.ALGO) = struct
   type node = {
     mutable state : A.state;
@@ -47,6 +50,7 @@ module Make (A : Types.ALGO) = struct
        of closure allocation. *)
     timer_actions : (A.timer, Engine.t -> unit) Hashtbl.t;
     mutable on_cs_exit : Engine.t -> unit;
+    mutable exit : Engine.handle option;  (* the pending CS exit *)
     arrivals : float Queue.t;  (* unserved request arrival times *)
     pm : Dmutex_obs.Protocol_metrics.t option;
     (* per-node view into the run's obs registry, if one was given *)
@@ -68,11 +72,7 @@ module Make (A : Types.ALGO) = struct
     delays : Stats.Tally.t;
     mutable completed : int;
     mutable arrived : int;
-    mutable cs_holders : (int * Types.mode) list;
-        (** Nodes currently inside the CS with the mode each entered
-            under. Several [Shared] holders may coexist; an [Exclusive]
-            holder must be alone. *)
-    mutable safety_violations : int;
+    mutable history : History.t;
     mutable target : int option;
     mutable closed_loop : bool;
     mutable on_grant : (node:int -> delay:float -> unit) option;
@@ -111,6 +111,7 @@ module Make (A : Types.ALGO) = struct
             timers = Hashtbl.create 8;
             timer_actions = Hashtbl.create 8;
             on_cs_exit = ignore;
+            exit = None;
             arrivals = Queue.create ();
             pm = Option.map Dmutex_obs.Protocol_metrics.create obs;
             current = None;
@@ -132,8 +133,7 @@ module Make (A : Types.ALGO) = struct
         delays = Stats.Tally.create ();
         completed = 0;
         arrived = 0;
-        cs_holders = [];
-        safety_violations = 0;
+        history = History.create ();
         target = None;
         closed_loop = false;
         on_grant = None;
@@ -189,29 +189,22 @@ module Make (A : Types.ALGO) = struct
             A.pp_message m;
         Network.broadcast t.net ~src:i m
     | Types.Enter_cs ->
-        let mode = A.cs_mode node.state in
-        let others = List.filter (fun (j, _) -> j <> i) t.cs_holders in
-        (match others with
-        | [] -> ()
-        | _ when
-               mode = Types.Shared
-               && List.for_all (fun (_, m) -> m = Types.Shared) others ->
-            (* Concurrent readers: legal overlap, not a violation. *)
-            ()
-        | (j, _) :: _ ->
-            t.safety_violations <- t.safety_violations + 1;
-            Trace.addf t.trace ~time:now ~node:i ~tag:"VIOLATION"
-              "entered CS (%s) while node %d inside"
-              (Types.string_of_mode mode) j);
-        t.cs_holders <- (i, mode) :: others;
+        (match
+           History.enter t.history ~lock ~holder:i ~mode:(A.cs_mode node.state)
+         with
+        | History.Violation v ->
+            Trace.addf t.trace ~time:now ~node:i ~tag:"VIOLATION" "%a"
+              History.pp_violation v
+        | History.Admitted | History.Fenced_off -> ());
         node.current <- Queue.take_opt node.arrivals;
         (match node.pm with
         | Some pm -> Dmutex_obs.Protocol_metrics.cs_entered pm ~now
         | None -> ());
         Trace.add t.trace ~time:now ~node:i ~tag:"enter-cs" "";
-        ignore
-          (Engine.schedule t.engine ~delay:t.cfg.Types.Config.t_exec
-             node.on_cs_exit)
+        node.exit <-
+          Some
+            (Engine.schedule t.engine ~delay:t.cfg.Types.Config.t_exec
+               node.on_cs_exit)
     | Types.Set_timer (k, d) ->
         (match Hashtbl.find_opt node.timers k with
         | Some h -> Engine.cancel t.engine h
@@ -259,7 +252,8 @@ module Make (A : Types.ALGO) = struct
     let node = t.nodes.(i) in
     if not node.crashed then begin
       let now = Engine.now t.engine in
-      t.cs_holders <- List.filter (fun (j, _) -> j <> i) t.cs_holders;
+      node.exit <- None;
+      History.leave t.history ~lock ~holder:i;
       (match node.current with
       | Some arrival ->
           Stats.Tally.add t.delays (now -. arrival);
@@ -331,7 +325,11 @@ module Make (A : Types.ALGO) = struct
     Network.crash t.net i;
     Hashtbl.iter (fun _ h -> Engine.cancel t.engine h) node.timers;
     Hashtbl.reset node.timers;
-    t.cs_holders <- List.filter (fun (j, _) -> j <> i) t.cs_holders;
+    (* The CS dies with the node: a quick [recover] must not inherit
+       its exit. *)
+    Option.iter (Engine.cancel t.engine) node.exit;
+    node.exit <- None;
+    History.crash t.history ~holder:i;
     node.current <- None;
     Queue.clear node.arrivals;
     Trace.add t.trace ~time:(Engine.now t.engine) ~node:i ~tag:"crash" ""
@@ -409,6 +407,7 @@ module Make (A : Types.ALGO) = struct
       (fun i node ->
         node.state <- A.init t.cfg i;
         Hashtbl.reset node.timers;
+        node.exit <- None;
         Queue.clear node.arrivals;
         node.current <- None;
         node.crashed <- false;
@@ -422,8 +421,7 @@ module Make (A : Types.ALGO) = struct
     Stats.Tally.reset t.delays;
     t.completed <- 0;
     t.arrived <- 0;
-    t.cs_holders <- [];
-    t.safety_violations <- 0;
+    t.history <- History.create ();
     t.target <- None;
     t.closed_loop <- false;
     t.read_mix <- None
@@ -464,7 +462,7 @@ module Make (A : Types.ALGO) = struct
       dropped_requests = Stats.Counter.get t.notes "dropped-request";
       monitor_passes = Stats.Counter.get t.notes "monitor-pass";
       notes = Stats.Counter.to_list t.notes;
-      safety_violations = t.safety_violations;
+      safety_violations = (History.report t.history).violations;
       unserved = unserved t;
       per_node =
         Array.map

@@ -33,8 +33,9 @@ type outcome = {
   monitor_passes : int;
   notes : (string * int) list;  (** Every note counter, sorted. *)
   safety_violations : int;
-      (** Illegal CS overlaps (any overlap involving an [Exclusive]
-          holder — concurrent [Shared] holders are legal); must be 0. *)
+      (** Unsafe CS entries and exits as {!History} judges them (any
+          overlap involving an [Exclusive] holder — concurrent
+          [Shared] holders are legal); must be 0. *)
   unserved : int;  (** Requests arrived but never served (liveness). *)
   per_node : node_stats array;
 }

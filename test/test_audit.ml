@@ -1,123 +1,176 @@
-(* The offline trace auditor: unit behaviour on hand-made traces, and
-   agreement with the online runner on real simulations (two
-   bookkeepers must concur). *)
+(* The safety checker: its rules as one table of hand-made histories,
+   the offline audit of simulator traces (a replay through the same
+   checker must agree with the runner's online verdict), and the
+   simulator's own use of it. *)
 
 open Simkit
+open Dmutex
 
-let mk events =
-  let trace = Trace.create () in
-  Trace.set_enabled trace true;
+type op =
+  | Enter of { holder : int; mode : Types.mode; fencing : int option }
+  | Leave of int
+  | Crash of int
+
+let x ?fencing holder = Enter { holder; mode = Types.Exclusive; fencing }
+let s ?fencing holder = Enter { holder; mode = Types.Shared; fencing }
+
+let play ops =
+  let h = History.create () in
   List.iter
-    (fun (time, node, tag) -> Trace.add trace ~time ~node ~tag "")
-    events;
-  trace
+    (function
+      | Enter { holder; mode; fencing } ->
+          ignore (History.enter ?fencing h ~lock:"a" ~holder ~mode)
+      | Leave holder -> History.leave h ~lock:"a" ~holder
+      | Crash holder -> History.crash h ~holder)
+    ops;
+  History.report h
 
-let test_clean_run () =
-  let r =
-    Audit.run
-      (mk
-         [
-           (0.0, 0, "request"); (1.0, 0, "enter-cs"); (2.0, 0, "exit-cs");
-           (2.5, 1, "request"); (3.0, 1, "enter-cs"); (4.0, 1, "exit-cs");
-         ])
-  in
-  Alcotest.(check bool) "ok" true (Audit.ok r);
-  Alcotest.(check int) "entries" 2 r.entries;
-  Alcotest.(check int) "max concurrency" 1 r.max_concurrency;
-  Alcotest.(check (float 1e-9)) "mean wait" 0.75 (Stats.Tally.mean r.waits);
-  Alcotest.(check (float 1e-9)) "mean hold" 1.0 (Stats.Tally.mean r.holds);
-  Alcotest.(check int) "nothing unmatched" 0 r.unmatched_requests
+let describe = function
+  | History.Overlap { entry; occupant; _ } ->
+      Printf.sprintf "overlap %d over %d" entry.holder occupant.holder
+  | History.Double_entry { entry; _ } ->
+      Printf.sprintf "double entry %d" entry.holder
+  | History.Orphan_leave { holder; _ } ->
+      Printf.sprintf "orphan leave %d" holder
+  | History.Regression { entry; previous; _ } ->
+      Printf.sprintf "regression %d after %d" entry.holder previous.holder
 
-let test_detects_overlap () =
-  let r =
-    Audit.run
-      (mk
-         [
-           (1.0, 0, "enter-cs"); (1.5, 1, "enter-cs"); (2.0, 0, "exit-cs");
-           (2.5, 1, "exit-cs");
-         ])
-  in
-  Alcotest.(check bool) "not ok" false (Audit.ok r);
-  (match r.violations with
-  | [ Audit.Overlap { holder = 0; intruder = 1; _ } ] -> ()
-  | _ -> Alcotest.fail "expected one overlap 0/1");
-  Alcotest.(check int) "peak concurrency 2" 2 r.max_concurrency
+(* name, history, expected violations, fenced off, takeovers, peak
+   shared holders *)
+let rules =
+  [
+    ("clean run", [ x 0; Leave 0; x 1; Leave 1 ], [], 0, 0, 0);
+    ( "detects overlap",
+      [ x 0; x 1; Leave 0; Leave 1 ],
+      [ "overlap 1 over 0" ], 0, 0, 0 );
+    ("detects double entry", [ x 0; x 0 ], [ "double entry 0" ], 0, 0, 0);
+    ("detects orphan exit", [ Leave 2 ], [ "orphan leave 2" ], 0, 0, 0);
+    ("crash clears holder", [ x 0; Crash 0; x 1; Leave 1 ], [], 0, 0, 0);
+    ("shared beside shared", [ s 0; s 1; Leave 0; Leave 1 ], [], 0, 0, 2);
+    ( "exclusive beside shared",
+      [ s 0; x 1; Leave 0; Leave 1 ],
+      [ "overlap 1 over 0" ], 0, 0, 1 );
+    ( "stale token fenced off",
+      [ x ~fencing:5 0; x ~fencing:4 1; x ~fencing:5 2; Leave 0 ],
+      [], 2, 0, 0 );
+    ( "newer token takes over",
+      [ x ~fencing:5 0; x ~fencing:6 1; Leave 0; Leave 1 ],
+      [], 0, 1, 0 );
+    ( "token regression at a free resource",
+      [ x ~fencing:5 0; Leave 0; x ~fencing:4 1; Leave 1; x ~fencing:4 2 ],
+      [ "regression 1 after 0"; "regression 2 after 1" ], 0, 0, 0 );
+    ( "equal token within a shared batch",
+      [
+        s ~fencing:5 0; s ~fencing:5 1; Leave 0; Leave 1; s ~fencing:5 2;
+        Leave 2; x ~fencing:6 3; Leave 3;
+      ],
+      [], 0, 0, 2 );
+  ]
 
-let test_detects_double_entry () =
-  let r = Audit.run (mk [ (1.0, 0, "enter-cs"); (2.0, 0, "enter-cs") ]) in
-  match r.violations with
-  | [ Audit.Entry_while_inside { node = 0; _ } ] -> ()
-  | _ -> Alcotest.fail "expected re-entry violation"
+let rule_case (name, ops, violations, fenced_off, takeovers, peak) =
+  Alcotest.test_case name `Quick (fun () ->
+      let r = play ops in
+      Alcotest.(check (list string))
+        "violations" violations
+        (List.map describe r.first);
+      Alcotest.(check int) "violation count" (List.length violations)
+        r.violations;
+      Alcotest.(check int) "fenced off" fenced_off r.fenced_off;
+      Alcotest.(check int) "takeovers" takeovers r.takeovers;
+      Alcotest.(check int) "peak shared" peak
+        (match r.locks with [ (_, l) ] -> l.peak_shared | _ -> 0))
 
-let test_detects_orphan_exit () =
-  let r = Audit.run (mk [ (1.0, 2, "exit-cs") ]) in
-  match r.violations with
-  | [ Audit.Exit_without_entry { node = 2; _ } ] -> ()
-  | _ -> Alcotest.fail "expected orphan exit"
+let test_report_pp () =
+  let r = play [ x ~fencing:3 0; Leave 0; s ~fencing:2 1 ] in
+  let text = Format.asprintf "%a" History.pp_report r in
+  Alcotest.(check bool) "names both holders and their tokens" true
+    (Str_present.contains_substring text
+       "holder 1 (shared, token 2) entered after holder 0 (exclusive, token 3)")
 
-let test_crash_clears_holder () =
-  let r =
-    Audit.run
-      (mk
-         [
-           (1.0, 0, "enter-cs"); (1.5, 0, "crash"); (2.0, 1, "enter-cs");
-           (3.0, 1, "exit-cs");
-         ])
-  in
-  Alcotest.(check bool) "crash forgives the open CS" true (Audit.ok r)
-
-let test_unmatched_requests () =
-  let r = Audit.run (mk [ (0.0, 0, "request"); (0.5, 1, "request") ]) in
-  Alcotest.(check int) "both unmatched" 2 r.unmatched_requests
+(* The offline audit: replay a simulator trace through a fresh
+   checker. The traces below come from exclusive-only algorithms. *)
+let audit trace =
+  let h = History.create () in
+  List.iter
+    (fun (r : Trace.record) ->
+      match r.tag with
+      | "enter-cs" ->
+          ignore
+            (History.enter h ~lock:"cs" ~holder:r.node ~mode:Types.Exclusive)
+      | "exit-cs" -> History.leave h ~lock:"cs" ~holder:r.node
+      | "crash" -> History.crash h ~holder:r.node
+      | _ -> ())
+    (Trace.records trace);
+  History.report h
 
 let agree_with_runner (type s m tm)
-    (module A : Dmutex.Types.ALGO
+    (module A : Types.ALGO
       with type state = s and type message = m and type timer = tm) cfg =
-  let module R = Dmutex.Sim_runner.Make (A) in
+  let module R = Sim_runner.Make (A) in
   let trace = Trace.create ~capacity:1_000_000 () in
   Trace.set_enabled trace true;
   let o = R.run_poisson ~seed:5 ~requests:2_000 ~rate:0.3 ~trace cfg in
-  let audit = Audit.run trace in
-  Alcotest.(check bool) (A.name ^ ": audit clean") true (Audit.ok audit);
-  Alcotest.(check int) (A.name ^ ": runner agrees") o.safety_violations 0;
+  let r = audit trace in
+  Alcotest.(check int) (A.name ^ ": audit clean") 0 r.violations;
+  Alcotest.(check int) (A.name ^ ": runner agrees") 0 o.safety_violations;
   Alcotest.(check int)
-    (A.name ^ ": same completion count")
-    o.completed audit.exits
+    (A.name ^ ": admitted entries are the completions")
+    o.completed r.entries
 
 let test_agreement_basic () =
-  agree_with_runner (module Dmutex.Basic) (Dmutex.Basic.config ~n:8 ())
+  agree_with_runner (module Basic) (Basic.config ~n:8 ())
 
 let test_agreement_maekawa () =
-  agree_with_runner
-    (module Baselines.Maekawa)
-    (Dmutex.Types.Config.default ~n:8)
+  agree_with_runner (module Baselines.Maekawa) (Types.Config.default ~n:8)
 
 let test_agreement_lamport () =
-  agree_with_runner
-    (module Baselines.Lamport)
-    (Dmutex.Types.Config.default ~n:8)
+  agree_with_runner (module Baselines.Lamport) (Types.Config.default ~n:8)
 
-let test_audit_pp () =
-  let r = Audit.run (mk [ (1.0, 0, "enter-cs"); (1.5, 1, "enter-cs") ]) in
-  let s = Format.asprintf "%a" Audit.pp r in
-  Alcotest.(check bool) "mentions violation" true
-    (Str_present.contains_substring s "VIOLATIONS")
+let test_planted_double_grant () =
+  let module R = Sim_runner.Make (Test_mcheck.Broken_grant_all) in
+  let o = R.run_saturated ~requests:50 (Types.Config.default ~n:3) in
+  Alcotest.(check bool)
+    (Printf.sprintf "violations counted (%d)" o.safety_violations)
+    true (o.safety_violations > 0)
+
+(* Node 1 enters at 0.3 s and is restarted 5 ms into its CS: the dead
+   CS must not complete, and the new life must not see its exit. *)
+let test_restart_within_t_exec () =
+  let module R = Sim_runner.Make (Resilient) in
+  let trace = Trace.create () in
+  Trace.set_enabled trace true;
+  let t = R.create ~trace (Resilient.config ~n:3 ()) in
+  R.request t 1;
+  R.apply_faults t [ (0.301, Types.Restart { node = 1; after = 0.005 }) ];
+  R.step_until t 2.0;
+  let o = R.outcome t in
+  let records = Trace.records trace in
+  Alcotest.(check bool) "entered at 0.3 s" true
+    (List.exists
+       (fun (r : Trace.record) ->
+         r.tag = "enter-cs" && r.node = 1 && Float.abs (r.time -. 0.3) < 1e-9)
+       records);
+  Alcotest.(check int) "the dead CS is not completed" 0 o.completed;
+  Alcotest.(check bool) "no exit-cs in the new life" false
+    (List.exists
+       (fun (r : Trace.record) -> r.tag = "exit-cs" && r.time > 0.301)
+       records);
+  Alcotest.(check int) "runner checker clean" 0 o.safety_violations;
+  Alcotest.(check int) "offline audit clean" 0 (audit trace).violations
 
 let suite =
   ( "audit",
-    [
-      Alcotest.test_case "clean run" `Quick test_clean_run;
-      Alcotest.test_case "detects overlap" `Quick test_detects_overlap;
-      Alcotest.test_case "detects double entry" `Quick
-        test_detects_double_entry;
-      Alcotest.test_case "detects orphan exit" `Quick test_detects_orphan_exit;
-      Alcotest.test_case "crash clears holder" `Quick test_crash_clears_holder;
-      Alcotest.test_case "unmatched requests" `Quick test_unmatched_requests;
-      Alcotest.test_case "agrees with runner: basic" `Quick
-        test_agreement_basic;
-      Alcotest.test_case "agrees with runner: maekawa" `Quick
-        test_agreement_maekawa;
-      Alcotest.test_case "agrees with runner: lamport" `Quick
-        test_agreement_lamport;
-      Alcotest.test_case "report rendering" `Quick test_audit_pp;
-    ] )
+    List.map rule_case rules
+    @ [
+        Alcotest.test_case "agrees with runner: basic" `Quick
+          test_agreement_basic;
+        Alcotest.test_case "agrees with runner: maekawa" `Quick
+          test_agreement_maekawa;
+        Alcotest.test_case "agrees with runner: lamport" `Quick
+          test_agreement_lamport;
+        Alcotest.test_case "report rendering" `Quick test_report_pp;
+        Alcotest.test_case "simulator catches a planted double grant" `Quick
+          test_planted_double_grant;
+        Alcotest.test_case "restart within t_exec drops the old CS exit"
+          `Quick test_restart_within_t_exec;
+      ] )

@@ -1,8 +1,9 @@
 (* Live-cluster chaos: the Section 6 recovery machinery exercised over
-   real sockets under a deterministic fault schedule, with a lock-file
-   witness for mutual exclusion. Also hosts the node-runner robustness
-   regressions (timer precision, with_lock timeout drain) that need a
-   real runtime rather than the simulator. *)
+   real sockets under a deterministic fault schedule, with
+   {!Dmutex.History} judging mutual exclusion. Also hosts the
+   node-runner robustness regressions (timer precision, with_lock
+   timeout drain) that need a real runtime rather than the
+   simulator. *)
 
 open Dmutex
 module RCluster = Netkit.Cluster.Make (Resilient) (Wire.Protocol_codec)
@@ -26,44 +27,26 @@ let soak_cfg n =
     retry_timeout = 0.3;
   }
 
-(* Mutual-exclusion witness shared by every node of the in-process
-   cluster: entering the CS creates a lock file with O_EXCL, leaving
-   unlinks it. A second creation while the file exists is a safety
-   violation observed by the operating system, not by protocol
-   introspection. *)
-module Witness = struct
-  type t = { path : string; mu : Mutex.t; mutable violations : int }
+(* Run [work] as [holder]'s critical section on [lock], reported to
+   the soak's checker. A holder the checker fences off as stale still
+   runs [work] but is not inside, so it does not leave. *)
+let in_cs ?fencing ?(mode = Types.Exclusive) history ~lock ~holder work =
+  let inside =
+    History.enter ?fencing history ~lock ~holder ~mode <> History.Fenced_off
+  in
+  let v = work () in
+  if inside then History.leave history ~lock ~holder;
+  v
 
-  let create name =
-    let path =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dmutex-%s-%d.lock" name (Unix.getpid ()))
-    in
-    (try Unix.unlink path with _ -> ());
-    { path; mu = Mutex.create (); violations = 0 }
+(* The node-level soaks' CS body: a short hold seen by the checker. *)
+let hold history ~lock ~holder () =
+  in_cs history ~lock ~holder (fun () -> Thread.delay 0.002)
 
-  (* Returns whether we own the file (and so must [leave]). *)
-  let enter t =
-    match Unix.openfile t.path [ O_CREAT; O_EXCL; O_WRONLY ] 0o600 with
-    | fd ->
-        Unix.close fd;
-        true
-    | exception Unix.Unix_error (EEXIST, _, _) ->
-        Mutex.lock t.mu;
-        t.violations <- t.violations + 1;
-        Mutex.unlock t.mu;
-        false
-
-  let leave t = try Unix.unlink t.path with _ -> ()
-
-  let violations t =
-    Mutex.lock t.mu;
-    let v = t.violations in
-    Mutex.unlock t.mu;
-    v
-
-  let dispose t = try Unix.unlink t.path with _ -> ()
-end
+let check_safe history =
+  let r = History.report history in
+  Alcotest.(check int)
+    (Format.asprintf "zero safety violations (%a)" History.pp_report r)
+    0 r.violations
 
 (* One structured trace sink per soak when logs are collected: CS
    entries/exits, recovery milestones and liveness suspicions from
@@ -74,8 +57,7 @@ let make_trace () =
   | None -> None
   | Some _ -> Some (Dmutex_obs.Events.create ~capacity:16384 ())
 
-let write_soak_logs ?(name = "chaos-soak") ?trace cluster ~witness_violations
-    ~served =
+let write_soak_logs ?(name = "chaos-soak") ?trace cluster ~history ~served =
   match log_dir with
   | None -> ()
   | Some dir ->
@@ -87,7 +69,8 @@ let write_soak_logs ?(name = "chaos-soak") ?trace cluster ~witness_violations
       | None -> ());
       let oc = open_out (Filename.concat dir (name ^ ".log")) in
       Printf.fprintf oc "seed: %d\n" chaos_seed;
-      Printf.fprintf oc "witness violations: %d\n" witness_violations;
+      Printf.fprintf oc "%s\n"
+        (Format.asprintf "%a" History.pp_report (History.report history));
       Array.iteri (fun i s -> Printf.fprintf oc "node %d served: %d\n" i s) served;
       List.iter
         (fun (at, msg) -> Printf.fprintf oc "chaos @ %6.2fs: %s\n" at msg)
@@ -223,7 +206,7 @@ let has_sub s sub =
    7% loss, crash-stops the token holder of the first lock, then the
    arbiter watched by its previous arbiter, partitions the cluster and
    heals it. The survivors must keep taking both locks with zero
-   witness violations on either, and the Section 6 notes must show a
+   safety violations on either, and the Section 6 notes must show a
    two-phase invalidation and a PROBE takeover actually fired. *)
 let test_chaos_soak () =
   let n = 5 in
@@ -234,24 +217,18 @@ let test_chaos_soak () =
       ~heartbeat_period:0.2 ~suspect_timeout:0.8 ?trace (soak_cfg n)
   in
   let fault = RCluster.fault cluster in
-  (* One O_EXCL witness per lock: exclusion must hold within each lock,
-     while the two locks are routinely held concurrently. *)
-  let witnesses =
-    List.map (fun l -> (l, Witness.create ("chaos-soak-" ^ l))) locks
-  in
+  (* Exclusion must hold within each lock, while the two locks are
+     routinely held concurrently. *)
+  let history = History.create () in
   let served = Array.make n 0 in
   let served_mu = Mutex.create () in
   let stop = ref false in
   let worker i lock () =
-    let witness = List.assoc lock witnesses in
     let rng = Random.State.make [| chaos_seed; i; 0x50a1; Hashtbl.hash lock |] in
     while (not !stop) && not (Netkit.Fault.is_crashed fault i) do
       (match
          RCluster.Node.with_lock ~timeout:3.0 ~lock (RCluster.node cluster i)
-           (fun () ->
-             let owned = Witness.enter witness in
-             Thread.delay 0.002;
-             if owned then Witness.leave witness)
+           (hold history ~lock ~holder:i)
        with
       | Some () ->
           Mutex.lock served_mu;
@@ -309,26 +286,14 @@ let test_chaos_soak () =
   let all_served = settle () in
   stop := true;
   List.iter Thread.join threads;
-  let per_lock_violations =
-    List.map (fun (l, w) -> (l, Witness.violations w)) witnesses
-  in
-  let violations =
-    List.fold_left (fun acc (_, v) -> acc + v) 0 per_lock_violations
-  in
-  write_soak_logs ?trace cluster ~witness_violations:violations ~served;
+  write_soak_logs ?trace cluster ~history ~served;
   let chaos_entries = List.length (RCluster.chaos_log cluster) in
   let recovery = RCluster.note_count cluster "recovery-started" in
   let takeover = RCluster.note_count cluster "arbiter-takeover" in
   let regenerated = RCluster.note_count cluster "token-regenerated" in
   RCluster.shutdown cluster;
-  List.iter (fun (_, w) -> Witness.dispose w) witnesses;
   Alcotest.(check bool) "schedule ran" true (chaos_entries >= 6);
-  List.iter
-    (fun (l, v) ->
-      Alcotest.(check int)
-        (Printf.sprintf "zero mutual-exclusion violations on %s" l)
-        0 v)
-    per_lock_violations;
+  check_safe history;
   Alcotest.(check bool)
     (Printf.sprintf "at least two survivors (%d)" (List.length survivors))
     true
@@ -746,7 +711,7 @@ let suite =
 (* Kill-and-restart soak: the token holder dies mid-CS with durable
    custody, the arbiter dies mid-collection, and a fixed node restarts
    for good measure. Every node must come back from disk, mutual
-   exclusion must hold throughout (O_EXCL witness), and the whole
+   exclusion must hold throughout, and the whole
    cluster must keep being served afterwards. *)
 let test_restart_soak () =
   let n = 4 in
@@ -763,24 +728,18 @@ let test_restart_soak () =
       ~persist:PV.capture ~restore:(PV.restore cfg) cfg
   in
   let fault = RCluster.fault cluster in
-  let witnesses =
-    List.map (fun l -> (l, Witness.create ("restart-soak-" ^ l))) locks
-  in
+  let history = History.create () in
   let served = Array.make n 0 in
   let served_mu = Mutex.create () in
   let stop = ref false in
   let worker i lock () =
-    let witness = List.assoc lock witnesses in
     let rng = Random.State.make [| chaos_seed; i; 0x7e57; Hashtbl.hash lock |] in
     while not !stop do
       if Netkit.Fault.is_crashed fault i then Thread.delay 0.05
       else begin
         (match
            RCluster.Node.with_lock ~timeout:3.0 ~lock (RCluster.node cluster i)
-             (fun () ->
-               let owned = Witness.enter witness in
-               Thread.delay 0.002;
-               if owned then Witness.leave witness)
+             (hold history ~lock ~holder:i)
          with
         | Some () ->
             Mutex.lock served_mu;
@@ -845,14 +804,8 @@ let test_restart_soak () =
   let all_served = settle () in
   stop := true;
   List.iter Thread.join threads;
-  let per_lock_violations =
-    List.map (fun (l, w) -> (l, Witness.violations w)) witnesses
-  in
-  let violations =
-    List.fold_left (fun acc (_, v) -> acc + v) 0 per_lock_violations
-  in
   write_soak_logs ~name:"restart-soak" ?trace cluster
-    ~witness_violations:violations
+    ~history
     ~served;
   let restarts_completed =
     List.length
@@ -869,15 +822,9 @@ let test_restart_soak () =
   let recovery = RCluster.note_count cluster "recovery-started" in
   let regenerated = RCluster.note_count cluster "token-regenerated" in
   RCluster.shutdown cluster;
-  List.iter (fun (_, w) -> Witness.dispose w) witnesses;
   Alcotest.(check bool) "nodes persist through per-lock live stores" true
     store_live;
-  List.iter
-    (fun (l, v) ->
-      Alcotest.(check int)
-        (Printf.sprintf "zero mutual-exclusion violations on %s" l)
-        0 v)
-    per_lock_violations;
+  check_safe history;
   Alcotest.(check bool)
     (Printf.sprintf "restart drills completed (%d)" restarts_completed)
     true
@@ -904,7 +851,8 @@ let test_amnesiac_restart_stays_safe () =
       ~suspect_timeout:0.8 ~state_root ~persist:PV.capture
       ~restore:(PV.restore cfg) cfg
   in
-  let witness = Witness.create "amnesia-restart" in
+  let history = History.create () in
+  let lock = RCluster.Node.default_lock in
   let stop = ref false in
   (* Keep the token circulating on the survivors so a live token
      provably exists the whole time the amnesiac is resyncing. *)
@@ -912,10 +860,7 @@ let test_amnesiac_restart_stays_safe () =
     while not !stop do
       (match
          RCluster.Node.with_lock ~timeout:3.0 (RCluster.node cluster i)
-           (fun () ->
-             let owned = Witness.enter witness in
-             Thread.delay 0.002;
-             if owned then Witness.leave witness)
+           (hold history ~lock ~holder:i)
        with
       | Some () | None -> ());
       Thread.delay 0.01
@@ -936,10 +881,8 @@ let test_amnesiac_restart_stays_safe () =
      (sync_wait parks the request, the retry valve or the next
      NEW-ARBITER releases it). *)
   let got =
-    RCluster.Node.with_lock ~timeout:20.0 restarted (fun () ->
-        let owned = Witness.enter witness in
-        Thread.delay 0.002;
-        if owned then Witness.leave witness)
+    RCluster.Node.with_lock ~timeout:20.0 restarted
+      (hold history ~lock ~holder:1)
   in
   stop := true;
   List.iter Thread.join threads;
@@ -947,14 +890,12 @@ let test_amnesiac_restart_stays_safe () =
     RCluster.Node.note_count restarted "token-regenerated"
   in
   let resynced = not (RCluster.Node.state restarted).Protocol.amnesiac in
-  let violations = Witness.violations witness in
   RCluster.shutdown cluster;
-  Witness.dispose witness;
   Alcotest.(check bool) "amnesiac eventually served" true (got = Some ());
   Alcotest.(check bool) "amnesia cleared by live knowledge" true resynced;
   Alcotest.(check int) "amnesiac never regenerated the token" 0
     regenerated_by_amnesiac;
-  Alcotest.(check int) "zero mutual-exclusion violations" 0 violations;
+  check_safe history;
   if Sys.getenv_opt "DMUTEX_CHAOS_STATE_DIR" = None then rm_rf state_root
 
 let restart_suite =
@@ -974,8 +915,8 @@ let restart_suite =
    must rejoin the *current* epoch-2 view from disk, not the birth
    view), then shrinks to 4 through LEAVE-REQUEST excisions — the
    initial arbiter and a freshly joined node among the leavers — all
-   under live with_lock traffic on two locks. Safety: zero O_EXCL
-   witness violations per lock. Liveness: every survivor keeps being
+   under live with_lock traffic on two locks. Safety: zero safety
+   violations on either lock. Liveness: every survivor keeps being
    served after the churn, and no worker thread is left stuck.
    Bookkeeping: the view epoch observed on a survivor is monotone and
    ends at one commit per churn event, matching the
@@ -997,25 +938,19 @@ let test_churn_soak () =
       ~persist:PV.capture ~restore:(PV.restore cfg) cfg
   in
   let fault = RCluster.fault cluster in
-  let witnesses =
-    List.map (fun l -> (l, Witness.create ("churn-soak-" ^ l))) locks
-  in
+  let history = History.create () in
   let served = Array.make max_n 0 in
   let served_mu = Mutex.create () in
   let stop = ref false in
   let retired = Array.make max_n false in
   let worker i lock () =
-    let witness = List.assoc lock witnesses in
     let rng = Random.State.make [| chaos_seed; i; 0xc4a0; Hashtbl.hash lock |] in
     while (not !stop) && not retired.(i) do
       if Netkit.Fault.is_crashed fault i then Thread.delay 0.05
       else begin
         (match
            RCluster.Node.with_lock ~timeout:3.0 ~lock (RCluster.node cluster i)
-             (fun () ->
-               let owned = Witness.enter witness in
-               Thread.delay 0.002;
-               if owned then Witness.leave witness)
+             (hold history ~lock ~holder:i)
          with
         | Some () ->
             Mutex.lock served_mu;
@@ -1170,14 +1105,8 @@ let test_churn_soak () =
       p);
   stop := true;
   List.iter Thread.join !threads;
-  let per_lock_violations =
-    List.map (fun (l, w) -> (l, Witness.violations w)) witnesses
-  in
-  let violations =
-    List.fold_left (fun acc (_, v) -> acc + v) 0 per_lock_violations
-  in
   write_soak_logs ~name:"churn-soak" ?trace cluster
-    ~witness_violations:violations ~served;
+    ~history ~served;
   let epoch_seq = List.rev !epochs in
   let final_epoch = (obs_view "alpha").Protocol.vnum in
   let gauge_epoch =
@@ -1189,13 +1118,7 @@ let test_churn_soak () =
            Dmutex_obs.Names.view_epoch))
   in
   RCluster.shutdown cluster;
-  List.iter (fun (_, w) -> Witness.dispose w) witnesses;
-  List.iter
-    (fun (l, v) ->
-      Alcotest.(check int)
-        (Printf.sprintf "zero mutual-exclusion violations on %s" l)
-        0 v)
-    per_lock_violations;
+  check_safe history;
   let rec monotone = function
     | a :: (b :: _ as rest) -> a <= b && monotone rest
     | _ -> true
@@ -1230,7 +1153,7 @@ let churn_suite =
    one shared transport, durable per-lock stores — then a node caught
    holding the tokens of at least two locks is killed and restarted
    from disk, entangling several instances' Section 6 recovery in one
-   outage. Per lock: zero O_EXCL witness violations and a
+   outage. Per lock: zero safety violations and a
    messages-per-CS in the paper's Eq. 4 band. *)
 let test_sharded_soak () =
   let n = 5 in
@@ -1245,14 +1168,11 @@ let test_sharded_soak () =
       ~persist:PV.capture ~restore:(PV.restore cfg) cfg
   in
   let fault = RCluster.fault cluster in
-  let witnesses =
-    List.map (fun l -> (l, Witness.create ("sharded-" ^ l))) locks
-  in
+  let history = History.create () in
   let served = Array.make n 0 in
   let served_mu = Mutex.create () in
   let stop = ref false in
   let worker i lock () =
-    let witness = List.assoc lock witnesses in
     let rng =
       Random.State.make [| chaos_seed; i; 0x5a4d; Hashtbl.hash lock |]
     in
@@ -1261,10 +1181,7 @@ let test_sharded_soak () =
       else begin
         (match
            RCluster.Node.with_lock ~timeout:3.0 ~lock (RCluster.node cluster i)
-             (fun () ->
-               let owned = Witness.enter witness in
-               Thread.delay 0.002;
-               if owned then Witness.leave witness)
+             (hold history ~lock ~holder:i)
          with
         | Some () ->
             Mutex.lock served_mu;
@@ -1322,14 +1239,8 @@ let test_sharded_soak () =
   let all_served = settle () in
   stop := true;
   List.iter Thread.join threads;
-  let per_lock_violations =
-    List.map (fun (l, w) -> (l, Witness.violations w)) witnesses
-  in
-  let violations =
-    List.fold_left (fun acc (_, v) -> acc + v) 0 per_lock_violations
-  in
   write_soak_logs ~name:"sharded-soak" ?trace cluster
-    ~witness_violations:violations ~served;
+    ~history ~served;
   let restarts_completed =
     List.length
       (List.filter (fun (_, m) -> has_sub m "back up")
@@ -1339,13 +1250,7 @@ let test_sharded_soak () =
     List.map (fun lock -> (lock, RCluster.obs_report ~lock cluster)) locks
   in
   RCluster.shutdown cluster;
-  List.iter (fun (_, w) -> Witness.dispose w) witnesses;
-  List.iter
-    (fun (l, v) ->
-      Alcotest.(check int)
-        (Printf.sprintf "zero mutual-exclusion violations on %s" l)
-        0 v)
-    per_lock_violations;
+  check_safe history;
   Alcotest.(check bool)
     (Printf.sprintf "multi-token-holder restart completed (%d)"
        restarts_completed)
@@ -1384,83 +1289,13 @@ let sharded_suite =
    session layer of a 5-node cluster. The node hosting a busy session
    service is killed mid-grant and restarted from disk; one client
    stalls inside a held grant past its lease. Safety is judged at the
-   resource: a fencing-checked O_EXCL witness per lock — every entry
-   must carry a strictly higher fencing token than the one before it,
-   and no two holders may overlap. *)
+   resource by the checker with fencing: every entry must carry a
+   strictly higher token than the one before it, a stale holder is
+   fenced off, and no two holders may overlap. *)
 
 module S = Netkit.Session.Make (Resilient) (Wire.Protocol_codec)
 module SC = Netkit.Session_client
 module WC = Wire.Client
-
-(* O_EXCL witness that also checks fencing order: entries must be
-   strictly monotonic per lock. A holder whose token is older than
-   the newest entry is stale (it lost its lease or its node) and must
-   not do the protected work; a newer token may fence off a stale
-   occupant's residue. Raw overlap with ordered-token entry intact is
-   counted as a violation. *)
-module Fenced_witness = struct
-  type t = {
-    path : string;
-    mu : Mutex.t;
-    mutable entered : int list;  (* newest first; chronological CS order *)
-    mutable violations : int;
-    mutable takeovers : int;
-    mutable stale_self : int;
-  }
-
-  let create name =
-    let path =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dmutex-%s-%d.lock" name (Unix.getpid ()))
-    in
-    (try Unix.unlink path with _ -> ());
-    {
-      path;
-      mu = Mutex.create ();
-      entered = [];
-      violations = 0;
-      takeovers = 0;
-      stale_self = 0;
-    }
-
-  (* Returns whether we own the witness (and so must [leave]). *)
-  let rec enter ?(attempt = 0) t ~fencing =
-    match Unix.openfile t.path [ O_CREAT; O_EXCL; O_WRONLY ] 0o600 with
-    | fd ->
-        Unix.close fd;
-        Mutex.lock t.mu;
-        (match t.entered with
-        | last :: _ when fencing <= last -> t.violations <- t.violations + 1
-        | _ -> ());
-        t.entered <- fencing :: t.entered;
-        Mutex.unlock t.mu;
-        true
-    | exception Unix.Unix_error (EEXIST, _, _) ->
-        Mutex.lock t.mu;
-        let newest = match t.entered with f :: _ -> f | [] -> min_int in
-        if fencing <= newest then begin
-          (* We are the stale holder: our grant was drained (lease) or
-             superseded (node kill + regeneration). Back off. *)
-          t.stale_self <- t.stale_self + 1;
-          Mutex.unlock t.mu;
-          false
-        end
-        else if attempt >= 3 then begin
-          t.violations <- t.violations + 1;
-          Mutex.unlock t.mu;
-          false
-        end
-        else begin
-          (* Newer token fences off a stale occupant's residue. *)
-          t.takeovers <- t.takeovers + 1;
-          Mutex.unlock t.mu;
-          (try Unix.unlink t.path with _ -> ());
-          enter ~attempt:(attempt + 1) t ~fencing
-        end
-
-  let leave t = try Unix.unlink t.path with _ -> ()
-  let dispose t = try Unix.unlink t.path with _ -> ()
-end
 
 let rotate l k =
   let n = List.length l in
@@ -1503,9 +1338,7 @@ let test_client_soak () =
     Array.to_list
       (Array.map (fun p -> { Netkit.Transport.host = "127.0.0.1"; port = p }) ports)
   in
-  let witnesses =
-    List.map (fun l -> (l, Fenced_witness.create ("client-soak-" ^ l))) locks
-  in
+  let history = History.create () in
   let grants = Atomic.make 0 in
   let lost = Atomic.make 0 in
   let failures = Atomic.make 0 in
@@ -1521,14 +1354,12 @@ let test_client_soak () =
           ()
       in
       let lock = Printf.sprintf "cl-%d" (c mod k) in
-      let witness = List.assoc lock witnesses in
       let had_session = ref false in
       for _ = 1 to rounds do
         (match
            SC.with_lock ~timeout:60.0 ~lock cl (fun ~fencing ->
-               let owned = Fenced_witness.enter witness ~fencing in
-               Thread.delay 0.002;
-               if owned then Fenced_witness.leave witness)
+               in_cs ~fencing history ~lock ~holder:c (fun () ->
+                   Thread.delay 0.002))
          with
         | Ok () -> Atomic.incr grants
         | Error (SC.Session_lost _) -> Atomic.incr lost
@@ -1592,9 +1423,7 @@ let test_client_soak () =
     | WC.Granted { fencing; _ } ->
         (* Do the protected work promptly, then hold the grant
            forever: the lease must drain it without our help. *)
-        let w = List.assoc "cl-1" witnesses in
-        let owned = Fenced_witness.enter w ~fencing in
-        if owned then Fenced_witness.leave w;
+        in_cs ~fencing history ~lock:"cl-1" ~holder:client_threads ignore;
         fencing
     | _ -> Alcotest.fail "stalled client grant"
   in
@@ -1630,12 +1459,7 @@ let test_client_soak () =
   let served =
     Array.map (fun s -> (S.stats s).S.granted) servers
   in
-  write_soak_logs ~name:"client-soak" ?trace cluster
-    ~witness_violations:
-      (List.fold_left
-         (fun acc (_, w) -> acc + w.Fenced_witness.violations)
-         0 witnesses)
-    ~served;
+  write_soak_logs ~name:"client-soak" ?trace cluster ~history ~served;
   (match log_dir with
   | None -> ()
   | Some dir ->
@@ -1646,35 +1470,13 @@ let test_client_soak () =
         (Atomic.get sessions_opened) (Atomic.get grants) (Atomic.get lost)
         (Atomic.get failures) stall_fencing stall_lost;
       List.iter (fun m -> Printf.fprintf oc "failure: %s\n" m) !failure_log;
-      List.iter
-        (fun (l, w) ->
-          Printf.fprintf oc
-            "%s: entries=%d violations=%d takeovers=%d stale_self=%d\n" l
-            (List.length w.Fenced_witness.entered)
-            w.Fenced_witness.violations w.Fenced_witness.takeovers
-            w.Fenced_witness.stale_self)
-        witnesses;
       close_out oc);
   Array.iter S.shutdown servers;
   RCluster.shutdown cluster;
-  List.iter (fun (_, w) -> Fenced_witness.dispose w) witnesses;
   (* Safety: no raw overlap, and fencing strictly monotonic per lock
-     (the per-entry check counts any out-of-order entry as a
-     violation, so one assert covers both). *)
-  List.iter
-    (fun (l, w) ->
-      Alcotest.(check int)
-        (Printf.sprintf "zero witness violations on %s" l)
-        0 w.Fenced_witness.violations;
-      let chronological = List.rev w.Fenced_witness.entered in
-      let rec strictly_up = function
-        | a :: (b :: _ as rest) -> a < b && strictly_up rest
-        | _ -> true
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "fencing strictly monotonic on %s" l)
-        true (strictly_up chronological))
-    witnesses;
+     (the checker counts any out-of-order entry as a violation, so one
+     assert covers both). *)
+  check_safe history;
   (* Scale: the soak actually exercised hundreds of sessions. *)
   Alcotest.(check bool)
     (Printf.sprintf "at least 200 sessions (%d)" (Atomic.get sessions_opened))
@@ -1689,12 +1491,11 @@ let test_client_soak () =
     0 (Atomic.get failures);
   Alcotest.(check bool) "stalled client lost its session loudly" true
     stall_lost;
-  let cl1 = List.assoc "cl-1" witnesses in
   let newest_cl1 =
-    match cl1.Fenced_witness.entered with f :: _ -> f | [] -> min_int
+    (List.assoc "cl-1" (History.report history).locks).History.newest
   in
   Alcotest.(check bool) "cl-1 advanced past the stalled grant" true
-    (newest_cl1 > stall_fencing);
+    (Option.value ~default:min_int newest_cl1 > stall_fencing);
   Logs.app (fun m ->
       m "client soak: sessions=%d grants=%d lost=%d stall_lost=%b"
         (Atomic.get sessions_opened) (Atomic.get grants) (Atomic.get lost)

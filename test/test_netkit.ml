@@ -317,48 +317,16 @@ let test_prioritized_rw_keyed () =
   in
   let locks = [ "ra"; "rb" ] in
   let cluster = PCluster.launch ~base_port:7985 ~locks cfg in
-  let state =
-    List.map
-      (fun l ->
-        (l, (Mutex.create (), ref 0 (* readers in *), ref false (* writer in *),
-             ref 0 (* max concurrent readers *), ref 0 (* violations *))))
-      locks
-  in
+  let history = Dmutex.History.create () in
   let failures = Atomic.make 0 in
-  let reader_enter l =
-    let mu, readers, writer, maxr, viol = List.assoc l state in
-    Mutex.lock mu;
-    if !writer then incr viol;
-    incr readers;
-    if !readers > !maxr then maxr := !readers;
-    Mutex.unlock mu
-  in
-  let reader_leave l =
-    let mu, readers, _, _, _ = List.assoc l state in
-    Mutex.lock mu;
-    decr readers;
-    Mutex.unlock mu
-  in
-  let writer_span l f =
-    let mu, readers, writer, _, viol = List.assoc l state in
-    Mutex.lock mu;
-    if !writer || !readers > 0 then incr viol;
-    writer := true;
-    Mutex.unlock mu;
-    f ();
-    Mutex.lock mu;
-    writer := false;
-    Mutex.unlock mu
-  in
   let reader i l () =
     for _ = 1 to reader_rounds do
       match
         PCluster.Node.with_lock ~timeout:60.0 ~lock:l ~mode:Dmutex.Types.Shared
           (PCluster.node cluster i)
           (fun () ->
-            reader_enter l;
-            Thread.delay 0.004;
-            reader_leave l)
+            Test_chaos.in_cs ~mode:Dmutex.Types.Shared history ~lock:l
+              ~holder:i (fun () -> Thread.delay 0.004))
       with
       | Some () -> ()
       | None -> Atomic.incr failures
@@ -372,7 +340,7 @@ let test_prioritized_rw_keyed () =
           match
             PCluster.Node.with_lock ~timeout:60.0 ~lock:l
               (PCluster.node cluster 0)
-              (fun () -> writer_span l (fun () -> Thread.delay 0.002))
+              (Test_chaos.hold history ~lock:l ~holder:0)
           with
           | Some () -> incr (List.assoc l writer_done)
           | None -> Atomic.incr failures)
@@ -388,12 +356,7 @@ let test_prioritized_rw_keyed () =
   List.iter Thread.join threads;
   PCluster.shutdown cluster;
   Alcotest.(check int) "no acquisition timeouts" 0 (Atomic.get failures);
-  List.iter
-    (fun (l, (_, _, _, _, viol)) ->
-      Alcotest.(check int)
-        (Printf.sprintf "no rw-exclusion violation on %s" l)
-        0 !viol)
-    state;
+  Test_chaos.check_safe history;
   List.iter
     (fun (l, d) ->
       Alcotest.(check int)
@@ -403,7 +366,9 @@ let test_prioritized_rw_keyed () =
   (* Batching is timing-dependent per lock, but across 2 locks x 10
      rounds of paired readers at least one shared overlap must occur. *)
   let batched =
-    List.exists (fun (_, (_, _, _, maxr, _)) -> !maxr >= 2) state
+    List.exists
+      (fun (_, (l : Dmutex.History.lock_report)) -> l.peak_shared >= 2)
+      (Dmutex.History.report history).locks
   in
   Alcotest.(check bool) "some shared grants overlapped" true batched
 

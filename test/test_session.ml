@@ -161,24 +161,22 @@ let test_acquire_release_fencing () =
 
 let test_swarm_mutual_exclusion () =
   (* Many clients, one counter behind one lock: grants must serialize
-     and every fencing token must be unique and increasing. *)
+     and every fencing token must be newer than the one before it. *)
   with_cluster ~base_port:9111 (fun _cluster _servers addrs ->
       let clients = 12 and rounds = 3 in
       let counter = ref 0 in
-      let fencings = ref [] in
-      let m = Mutex.create () in
+      let history = Dmutex.History.create () in
       let failures = Atomic.make 0 in
       let worker c () =
         let cl = SC.connect ~seed:(100 + c) ~addrs () in
         for _ = 1 to rounds do
           match
             SC.with_lock ~timeout:60.0 ~lock:"apex" cl (fun ~fencing ->
-                let v = !counter in
-                Thread.delay 0.001;
-                counter := v + 1;
-                Mutex.lock m;
-                fencings := fencing :: !fencings;
-                Mutex.unlock m)
+                Test_chaos.in_cs ~fencing history ~lock:"apex" ~holder:c
+                  (fun () ->
+                    let v = !counter in
+                    Thread.delay 0.001;
+                    counter := v + 1))
           with
           | Ok () -> ()
           | Error _ -> Atomic.incr failures
@@ -191,11 +189,9 @@ let test_swarm_mutual_exclusion () =
       List.iter Thread.join threads;
       Alcotest.(check int) "no failures" 0 (Atomic.get failures);
       Alcotest.(check int) "no lost increments" (clients * rounds) !counter;
-      let fs = !fencings in
-      let sorted = List.sort_uniq compare fs in
-      Alcotest.(check int)
-        "fencing tokens all distinct" (clients * rounds)
-        (List.length sorted))
+      Test_chaos.check_safe history;
+      Alcotest.(check int) "every grant admitted in fencing order"
+        (clients * rounds) (Dmutex.History.report history).entries)
 
 let test_try_acquire () =
   with_cluster ~base_port:9121 (fun _cluster _servers addrs ->

@@ -1,9 +1,10 @@
 (* Transaction soak: many leased sessions running random 2–3 lock
    mixed-mode transactions through [Session_client.with_locks] against
-   a live cluster, with three independent witnesses:
+   a live cluster, with three independent judges:
 
-   - per-lock read-write exclusion — concurrent readers are legal,
-     a writer is alone (no reader, no other writer);
+   - per-lock read-write exclusion, judged by {!Dmutex.History} —
+     concurrent readers are legal, a writer is alone (no reader, no
+     other writer);
    - the cluster-wide wait-for graph never holds a *persistent* cycle
      (a scanner thread unions {!Dmutex.Protocol.wait_edges} across
      every node x lock and runs {!Dmutex_obs.Wfg.find_cycle}; the
@@ -11,7 +12,8 @@
      multiplexing onto the same nodes are expected — a deadlock is a
      cycle that never dissolves);
    - fencing stays strictly monotone per lock across exclusive
-     grants, checked in a sequential epilogue phase.
+     grants, checked by the same checker in a sequential epilogue
+     phase.
 
    Scale comes from the environment so CI can push past 100 sessions
    while a plain `dune runtest` stays quick:
@@ -42,47 +44,6 @@ let env_int name default =
 let n_clients = env_int "DMUTEX_TXN_CLIENTS" 24
 let n_rounds = env_int "DMUTEX_TXN_ROUNDS" 3
 
-(* Read-write exclusion witness, one per lock. Entered/left from the
-   transaction body while the session layer believes the locks are
-   held; any overlap the mode matrix forbids is a violation. *)
-module Rw_witness = struct
-  type t = {
-    mu : Mutex.t;
-    mutable readers : int;
-    mutable writer : bool;
-    mutable violations : int;
-    mutable max_readers : int;  (* high-water mark: did batching happen? *)
-  }
-
-  let create () =
-    {
-      mu = Mutex.create ();
-      readers = 0;
-      writer = false;
-      violations = 0;
-      max_readers = 0;
-    }
-
-  let enter t mode =
-    Mutex.lock t.mu;
-    (match mode with
-    | Types.Exclusive ->
-        if t.writer || t.readers > 0 then t.violations <- t.violations + 1;
-        t.writer <- true
-    | Types.Shared ->
-        if t.writer then t.violations <- t.violations + 1;
-        t.readers <- t.readers + 1;
-        if t.readers > t.max_readers then t.max_readers <- t.readers);
-    Mutex.unlock t.mu
-
-  let leave t mode =
-    Mutex.lock t.mu;
-    (match mode with
-    | Types.Exclusive -> t.writer <- false
-    | Types.Shared -> t.readers <- t.readers - 1);
-    Mutex.unlock t.mu
-end
-
 let test_transaction_soak () =
   let n = 3 in
   let lock_names = [ "acct-a"; "acct-b"; "acct-c"; "acct-d" ] in
@@ -112,8 +73,7 @@ let test_transaction_soak () =
       Array.iter S.shutdown servers;
       RCluster.shutdown cluster)
     (fun () ->
-      let witnesses = List.map (fun l -> (l, Rw_witness.create ())) lock_names in
-      let witness l = List.assoc l witnesses in
+      let history = History.create () in
       let commits = Atomic.make 0 in
       let failures = Atomic.make 0 in
       let failure_log = ref [] in
@@ -206,9 +166,14 @@ let test_transaction_soak () =
           match
             SC.with_locks ~timeout:60.0 ~locks:txn cl (fun ~fencing ->
                 if fencing <= 0 then note_failure "non-positive fencing";
-                List.iter (fun (l, m) -> Rw_witness.enter (witness l) m) txn;
+                List.iter
+                  (fun (lock, mode) ->
+                    ignore (History.enter history ~lock ~holder:c ~mode))
+                  txn;
                 Thread.delay (0.001 +. Random.State.float rng 0.002);
-                List.iter (fun (l, m) -> Rw_witness.leave (witness l) m) txn)
+                List.iter
+                  (fun (lock, _) -> History.leave history ~lock ~holder:c)
+                  txn)
           with
           | Ok () -> Atomic.incr commits
           | Error e ->
@@ -231,15 +196,13 @@ let test_transaction_soak () =
       Thread.join scanner_t;
       (* --- fencing epilogue: strictly monotone per lock ------------ *)
       let epilogue = SC.connect ~seed:9999 ~addrs () in
-      let fencing_ok = ref true in
       List.iter
         (fun l ->
-          let last = ref min_int in
           for _ = 1 to 3 do
             (match SC.acquire ~timeout:30.0 ~lock:l epilogue with
-            | Ok f ->
-                if f <= !last then fencing_ok := false;
-                last := f
+            | Ok fencing ->
+                Test_chaos.in_cs ~fencing history ~lock:l ~holder:n_clients
+                  ignore
             | Error e ->
                 note_failure
                   (Printf.sprintf "epilogue acquire %s: %s" l
@@ -271,12 +234,8 @@ let test_transaction_soak () =
               Printf.fprintf oc "first cycle: %s\n"
                 (Format.asprintf "%a" Wfg.pp_cycle c)
           | None -> ());
-          List.iter
-            (fun (l, (w : Rw_witness.t)) ->
-              Printf.fprintf oc
-                "%s: violations=%d max_concurrent_readers=%d\n" l w.violations
-                w.max_readers)
-            witnesses;
+          Printf.fprintf oc "%s\n"
+            (Format.asprintf "%a" History.pp_report (History.report history));
           List.iter (fun m -> Printf.fprintf oc "failure: %s\n" m) !failure_log;
           close_out oc);
       (* --- verdicts ------------------------------------------------ *)
@@ -286,12 +245,7 @@ let test_transaction_soak () =
         0 (Atomic.get failures);
       Alcotest.(check int) "every transaction committed"
         (n_clients * n_rounds) (Atomic.get commits);
-      List.iter
-        (fun (l, (w : Rw_witness.t)) ->
-          Alcotest.(check int)
-            (Printf.sprintf "zero rw-exclusion violations on %s" l)
-            0 w.violations)
-        witnesses;
+      Test_chaos.check_safe history;
       (* A deadlock would pin the cycle in place for the rest of the
          run (thousands of scans at 10 ms); transient node-granular
          cycles from session multiplexing dissolve within a hold time.
@@ -305,8 +259,6 @@ let test_transaction_soak () =
         true
         (Atomic.get max_streak < 100);
       Alcotest.(check bool) "scanner actually ran" true (Atomic.get scans > 10);
-      Alcotest.(check bool) "fencing strictly monotone per lock" true
-        !fencing_ok;
       Logs.app (fun m ->
           m
             "txn soak: clients=%d rounds=%d commits=%d wfg_scans=%d \
@@ -315,9 +267,9 @@ let test_transaction_soak () =
             (Atomic.get transient_cycles) (Atomic.get max_streak)
             (String.concat ","
                (List.map
-                  (fun (_, (w : Rw_witness.t)) ->
-                    string_of_int w.max_readers)
-                  witnesses))))
+                  (fun (_, (l : History.lock_report)) ->
+                    string_of_int l.peak_shared)
+                  (History.report history).locks))))
 
 let suite =
   ( "txn-soak",
