@@ -29,6 +29,10 @@ val predicted_delay : Types.Config.t -> rate:float -> float option
     the paper's two extremes (Eqs. 3 and 6) with an M/D/1-style
     queueing term under the gated-service correction:
     base + ρ·S·(1 + ρ) ∕ (2(1 − ρ)) where S = T_msg + T_exec.
+    The base's residual collection window, [T_req/2], models the
+    paper's fixed windows: with [Config.early_close] on (the
+    [Resilient] preset) a lightly loaded arbiter skips most of it, and
+    the measured delay sits up to [T_req/2] below this prediction.
     [None] when ρ ≥ 1 (no steady state). The paper only analyses the
     extremes; simulation validates this interpolation to within ≈ 15%
     for ρ ≤ 0.8 (see the test suite). *)

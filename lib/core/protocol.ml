@@ -528,6 +528,16 @@ let window_residual cfg ~now ~anchor =
     let r = w -. Float.rem elapsed w in
     if r <= 0.0 then w else r
 
+(* Effects arming a window for its first request. With
+   [Config.early_close], an arbiter that has held the token through a
+   whole empty window since [anchor] closes this one at once. The
+   dispatch still runs on the (zero-delay) timer, like every other. *)
+let arm_window cfg ~now ~anchor =
+  let w = cfg.Config.t_collect in
+  if cfg.Config.early_close && w > 0.0 && now -. anchor >= w then
+    [ Set_timer (T_dispatch, 0.0); Note (Custom "window-skipped") ]
+  else [ Set_timer (T_dispatch, window_residual cfg ~now ~anchor) ]
+
 (* State components that only optional variants read are kept at
    their initial value when the variant is off: the protocol behaves
    identically, and the model checker's state space stays small. *)
@@ -550,11 +560,22 @@ let pop_pending_mode st =
   | m :: rest -> (m, { st with pending_modes = rest })
   | [] -> (Types.Exclusive, st)
 
+(* Queue a request at a collecting node: an arbiter awaiting the token,
+   or one holding it, whose window the first request arms. *)
+let accept_request cfg ~now st e =
+  match st.role with
+  | Await_token q -> ({ st with role = Await_token (Qlist.enqueue e q) }, [])
+  | Collecting { cq; anchor; armed } ->
+      ( { st with
+          role =
+            Collecting { cq = Qlist.enqueue e cq; anchor; armed = true } },
+        if armed then [] else arm_window cfg ~now ~anchor )
+  | Normal | Forwarding _ -> assert false
+
 (* Issue the next application request: either register directly in our
    own collection (when we are the arbiter) or send REQUEST(me, seq) to
    the believed arbiter. *)
 let issue_request cfg ~now ?(mode = Types.Exclusive) st =
-  ignore now;
   let seq = st.next_seq in
   let e = Qlist.entry ~mode ~node:st.me ~seq () in
   let st =
@@ -562,16 +583,7 @@ let issue_request cfg ~now ?(mode = Types.Exclusive) st =
       misses = 0; monitor_misses = 0; retries_left = cfg.Config.max_retries }
   in
   match st.role with
-  | Await_token q -> ({ st with role = Await_token (Qlist.enqueue e q) }, [])
-  | Collecting { cq; anchor; armed } ->
-      let effs =
-        if armed then []
-        else [ Set_timer (T_dispatch, window_residual cfg ~now ~anchor) ]
-      in
-      ( { st with
-          role =
-            Collecting { cq = Qlist.enqueue e cq; anchor; armed = true } },
-        effs )
+  | Await_token _ | Collecting _ -> accept_request cfg ~now st e
   | Normal | Forwarding _ ->
       let arm =
         if cfg.Config.max_retries = 0 then []
@@ -911,21 +923,6 @@ let apply_view cfg ~now st (v : view) ~granted ~tepoch ~elec ~arbiter =
 
 (* ------------------------------------------------------------------ *)
 (* Arbiter side: accepting, forwarding and dispatching requests        *)
-
-let accept_request cfg ~now st e =
-  (* We are collecting (either awaiting the token or holding it). *)
-  match st.role with
-  | Await_token q -> ({ st with role = Await_token (Qlist.enqueue e q) }, [])
-  | Collecting { cq; anchor; armed } ->
-      let effs =
-        if armed then []
-        else [ Set_timer (T_dispatch, window_residual cfg ~now ~anchor) ]
-      in
-      ( { st with
-          role =
-            Collecting { cq = Qlist.enqueue e cq; anchor; armed = true } },
-        effs )
-  | Normal | Forwarding _ -> assert false
 
 let receive_request cfg ~now st e =
   if Qlist.Granted.already_served st.granted_known e then

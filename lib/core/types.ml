@@ -40,6 +40,15 @@ module Config = struct
             PRIVILEGE carries the rest of the announcement instead.
             Default [false], matching the accounting of Eq. 1; the
             deployment preset [Resilient.config] turns it on. *)
+    early_close : bool;
+        (** Idle-window rule: a request reaching a collecting arbiter
+            with no window armed, at least one full [t_collect] after
+            the window's anchor, dispatches at once instead of at the
+            next window boundary. The arbiter has then held the token
+            through a whole empty window, so waiting adds no
+            concurrency it has evidence of. Default [false], the
+            paper's fixed window grid (Eq. 1's residual [T_req/2]);
+            the deployment preset [Resilient.config] turns it on. *)
     monitor : node_id option;
         (** Enable the Section 4.1 starvation-free variant with this
             monitor node. *)
@@ -114,6 +123,7 @@ module Config = struct
       t_forward = 0.1;
       initial_arbiter = 0;
       skip_new_arbiter_to_tail = false;
+      early_close = false;
       monitor = None;
       rotate_monitor = false;
       forward_threshold = 3;

@@ -570,6 +570,76 @@ let test_fold_equivalent_nonmember_sender () =
       Alcotest.(check bool) "token taken" true (st.Protocol.token <> None)
   | _ -> Alcotest.fail "expected the hand-off PRIVILEGE to node 1"
 
+(* ---------------- idle-window rule (Config.early_close) ---------------- *)
+
+let dispatch_timers effs =
+  List.filter_map
+    (fun (k, d) -> if k = Protocol.T_dispatch then Some d else None)
+    (timers effs)
+
+let window_skipped effs = List.mem (Note (Custom "window-skipped")) effs
+
+(* Node 2's REQUEST reaches arbiter 0 (token in hand, window anchored
+   at 0, [t_collect] = 0.1) at [now]: the dispatch timers it arms, and
+   whether the rule reported a skipped window. *)
+let window_rules =
+  let basic = Basic.config ~n:4 () in
+  [ ("idle over a window: dispatch now", res_cfg, false, 0.25, [ 0.0 ], true);
+    ("idle exactly one window: dispatch now", res_cfg, false, 0.1, [ 0.0 ], true);
+    ("token under a window old: residual", res_cfg, false, 0.04, [ 0.06 ], false);
+    ("window armed: no new timer", res_cfg, true, 0.25, [], false);
+    ("basic: the fixed grid", basic, false, 0.25, [ 0.05 ], false) ]
+
+let window_rule_case (name, cfg, armed, now, expected, skipped) =
+  Alcotest.test_case ("idle window: " ^ name) `Quick (fun () ->
+      let cq = if armed then [ entry 1 0 ] else [] in
+      let st =
+        { (Protocol.init cfg 0) with
+          Protocol.role = Protocol.Collecting { cq; anchor = 0.0; armed } }
+      in
+      let st, effs =
+        step ~now cfg st (Receive (2, Protocol.Request (entry 2 0)))
+      in
+      Alcotest.(check (list (float 1e-9))) "dispatch timers" expected
+        (dispatch_timers effs);
+      Alcotest.(check bool) "window-skipped note" skipped (window_skipped effs);
+      match st.Protocol.role with
+      | Protocol.Collecting { cq; armed; _ } ->
+          Alcotest.(check bool) "queued and armed" true
+            (Qlist.mem 2 cq && armed)
+      | _ -> Alcotest.fail "the arbiter must keep collecting")
+
+let test_idle_window_own_request () =
+  (* The idle arbiter's own request: the zero-delay timer's firing
+     enters the CS, with the same self-singleton announcement recovery
+     makes when the fixed grid fires a residual later. *)
+  let fire cfg =
+    let st, effs = step ~now:0.25 cfg (Protocol.init cfg 0) Request_cs in
+    let delay =
+      match dispatch_timers effs with
+      | [ d ] -> d
+      | _ -> Alcotest.fail "expected one dispatch timer"
+    in
+    let st, effs =
+      step ~now:(0.25 +. delay) cfg st (Timer_fired Protocol.T_dispatch)
+    in
+    (delay, st, List.filter (function Note _ -> false | _ -> true) effs)
+  in
+  let d_on, st_on, on = fire res_cfg in
+  let d_off, _, off = fire { res_cfg with Types.Config.early_close = false } in
+  Alcotest.(check (float 1e-9)) "dispatched at once" 0.0 d_on;
+  Alcotest.(check (float 1e-9)) "fixed grid: the residual" 0.05 d_off;
+  Alcotest.(check bool) "in the CS" true
+    (st_on.Protocol.in_cs && List.mem Enter_cs on);
+  Alcotest.(check bool) "self-singleton still announced" true
+    (List.exists
+       (function
+         | Broadcast (Protocol.New_arbiter _) | Send (_, Protocol.New_arbiter _) ->
+             true
+         | _ -> false)
+       on);
+  Alcotest.(check bool) "same effects as at the grid boundary" true (on = off)
+
 let suite =
   ( "protocol-variants",
     [
@@ -614,4 +684,7 @@ let suite =
         test_fold_equivalent_monitored;
       Alcotest.test_case "folded = split: sender outside view" `Quick
         test_fold_equivalent_nonmember_sender;
-    ] )
+      Alcotest.test_case "idle window: own request enters at once" `Quick
+        test_idle_window_own_request;
+    ]
+    @ List.map window_rule_case window_rules )

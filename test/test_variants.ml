@@ -6,6 +6,7 @@ open Dmutex
 module RB = Sim_runner.Make (Basic)
 module RM = Sim_runner.Make (Monitored)
 module RP = Sim_runner.Make (Prioritized)
+module RR = Sim_runner.Make (Resilient)
 
 let test_monitored_correct () =
   let cfg = Monitored.config ~n:10 () in
@@ -195,6 +196,51 @@ let test_skip_broadcast_saves_messages () =
   Alcotest.(check int) "still correct" 0 o_skip.safety_violations;
   Alcotest.(check int) "still live" 0 o_skip.unserved
 
+let test_idle_window_saves_residual () =
+  (* At light load the deployment preset's idle-window rule takes the
+     fixed grid's mean residual, T_req/2, off the delay and nothing
+     else; at saturation no arbiter is ever idle a whole window. *)
+  let on = Resilient.config ~n:5 () in
+  let off = { on with Types.Config.early_close = false } in
+  let light cfg = RR.run_poisson ~seed:1 ~requests:2_000 ~rate:0.1 cfg in
+  let o_on = light on and o_off = light off in
+  let saved = o_off.mean_delay -. o_on.mean_delay in
+  let half = on.Types.Config.t_collect /. 2.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "delay drops by T_req/2 ± 20%% (%.4f of %.4f s)" saved half)
+    true
+    (Float.abs (saved -. half) <= 0.2 *. half);
+  Alcotest.(check bool)
+    (Printf.sprintf "messages/CS within 3%% (%.3f vs %.3f)"
+       o_on.messages_per_cs o_off.messages_per_cs)
+    true
+    (Float.abs (o_on.messages_per_cs -. o_off.messages_per_cs)
+     <= 0.03 *. o_off.messages_per_cs);
+  List.iter
+    (fun (o : Sim_runner.outcome) ->
+      Alcotest.(check int) "no violations" 0 o.safety_violations;
+      Alcotest.(check int) "nothing unserved" 0 o.unserved)
+    [ o_on; o_off ];
+  let skipped (o : Sim_runner.outcome) =
+    Option.value ~default:0 (List.assoc_opt "window-skipped" o.notes)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "most windows skipped (%d of %d CSs)" (skipped o_on)
+       o_on.completed)
+    true
+    (2 * skipped o_on > o_on.completed);
+  Alcotest.(check int) "none with the rule off" 0 (skipped o_off);
+  let sat cfg = RR.run_saturated ~seed:1 ~requests:2_000 cfg in
+  let s_on = sat on and s_off = sat off in
+  Alcotest.(check int) "saturated: same completions" s_off.completed
+    s_on.completed;
+  Alcotest.(check bool)
+    (Printf.sprintf "saturated: messages/CS within 1%% (%.4f vs %.4f)"
+       s_on.messages_per_cs s_off.messages_per_cs)
+    true
+    (Float.abs (s_on.messages_per_cs -. s_off.messages_per_cs)
+     <= 0.01 *. s_off.messages_per_cs)
+
 let test_zero_collection_window () =
   (* Degenerate tuning: dispatch immediately after the token arrives.
      More messages, still correct. *)
@@ -231,6 +277,8 @@ let suite =
         test_rw_writer_not_starved;
       Alcotest.test_case "Section 3.1 suppression saves messages" `Quick
         test_skip_broadcast_saves_messages;
+      Alcotest.test_case "idle-window rule saves T_req/2 at light load" `Quick
+        test_idle_window_saves_residual;
       Alcotest.test_case "zero-length collection window" `Quick
         test_zero_collection_window;
       Alcotest.test_case "non-default initial arbiter" `Quick
