@@ -52,6 +52,16 @@ module Make (A : Dmutex.Types.ALGO) = struct
 
   let canon_timers l = List.sort_uniq compare l
 
+  (* States are keyed by the MD5 of their marshalled image: the
+     default polymorphic hash samples only a few words of these large
+     records, which would degenerate the table. [No_sharing] makes the
+     image a function of the value alone: with sharing, two
+     structurally equal states whose heaps alias differently marshal
+     differently and would be counted twice. The parent map keeps
+     digests and labels only, so the visited set stays compact. *)
+  let digest (g : gstate) =
+    Digest.string (Marshal.to_string g [ Marshal.No_sharing ])
+
   let channel_add key msg l =
     let rec go = function
       | [] -> [ (key, [ msg ]) ]
@@ -176,11 +186,6 @@ module Make (A : Dmutex.Types.ALGO) = struct
         sbudget = Array.make n shared_per_node;
       }
     in
-    (* States are keyed by the MD5 of their marshalled image: the
-       default polymorphic hash samples only a few words of these large
-       records, which would degenerate the table. The parent map keeps
-       digests and labels only, so the visited set stays compact. *)
-    let digest (g : gstate) = Digest.string (Marshal.to_string g []) in
     let visited : (string, unit) Hashtbl.t = Hashtbl.create 65536 in
     let parent : (string, string * string) Hashtbl.t =
       Hashtbl.create 65536
@@ -256,7 +261,6 @@ module Make (A : Dmutex.Types.ALGO) = struct
       }
     in
     let rng = Random.State.make [| seed |] in
-    let digest (g : gstate) = Digest.string (Marshal.to_string g []) in
     let visited : (string, unit) Hashtbl.t = Hashtbl.create 65536 in
     let transitions = ref 0 in
     let violation = ref None in

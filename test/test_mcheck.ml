@@ -18,10 +18,18 @@ let expect_clean describe = function
   | None -> ()
   | Some v -> Alcotest.fail (describe v)
 
+(* The exact size of an explored space. A change to the protocol's
+   behaviour, or to how the checker keys states, moves these; a change
+   that only restructures the code must not. *)
+let expect_space ~states ~transitions (s, t) =
+  Alcotest.(check (pair int int)) "states, transitions" (states, transitions)
+    (s, t)
+
 let test_basic_n2_exhaustive () =
   let module M = Mcheck.Make (Basic) in
   let r = M.run ~requests_per_node:1 (basic_cfg 2) in
   expect_clean M.describe r.violation;
+  expect_space ~states:537 ~transitions:1480 (r.states, r.transitions);
   Alcotest.(check bool) "exhausted (not truncated)" false r.truncated;
   Alcotest.(check bool) "non-trivial space" true (r.states > 100)
 
@@ -29,12 +37,14 @@ let test_basic_n2_r2_bounded () =
   let module M = Mcheck.Make (Basic) in
   let r = M.run ~max_states:150_000 ~requests_per_node:2 (basic_cfg 2) in
   expect_clean M.describe r.violation;
+  expect_space ~states:150000 ~transitions:604717 (r.states, r.transitions);
   Alcotest.(check bool) "explored the budget" true (r.states > 100_000)
 
 let test_basic_n3_bounded () =
   let module M = Mcheck.Make (Basic) in
   let r = M.run ~max_states:150_000 ~requests_per_node:1 (basic_cfg 3) in
-  expect_clean M.describe r.violation
+  expect_clean M.describe r.violation;
+  expect_space ~states:150000 ~transitions:533128 (r.states, r.transitions)
 
 let test_basic_n2_no_timers () =
   (* With deterministic timers off the space is tiny and exhaustible
@@ -43,30 +53,35 @@ let test_basic_n2_no_timers () =
   let r =
     M.run ~fire_timers:true ~requests_per_node:1 (basic_cfg 2)
   in
-  expect_clean M.describe r.violation
+  expect_clean M.describe r.violation;
+  expect_space ~states:537 ~transitions:1480 (r.states, r.transitions)
 
 let test_central_exhaustive () =
   let module M = Mcheck.Make (Baselines.Central_server) in
   let r = M.run ~requests_per_node:2 (Types.Config.default ~n:3) in
   expect_clean M.describe r.violation;
+  expect_space ~states:1764 ~transitions:4548 (r.states, r.transitions);
   Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_ricart_exhaustive () =
   let module M = Mcheck.Make (Baselines.Ricart_agrawala) in
   let r = M.run ~requests_per_node:1 (Types.Config.default ~n:3) in
   expect_clean M.describe r.violation;
+  expect_space ~states:3236 ~transitions:10022 (r.states, r.transitions);
   Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_suzuki_exhaustive () =
   let module M = Mcheck.Make (Baselines.Suzuki_kasami) in
   let r = M.run ~requests_per_node:1 (Types.Config.default ~n:3) in
   expect_clean M.describe r.violation;
+  expect_space ~states:725 ~transitions:2077 (r.states, r.transitions);
   Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_raymond_exhaustive () =
   let module M = Mcheck.Make (Baselines.Raymond) in
   let r = M.run ~requests_per_node:2 (Types.Config.default ~n:3) in
   expect_clean M.describe r.violation;
+  expect_space ~states:2225 ~transitions:6039 (r.states, r.transitions);
   Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_lamport_fifo_exhaustive () =
@@ -75,6 +90,7 @@ let test_lamport_fifo_exhaustive () =
   let module M = Mcheck.Make (Baselines.Lamport) in
   let r = M.run ~fifo:true ~requests_per_node:1 (Types.Config.default ~n:3) in
   expect_clean M.describe r.violation;
+  expect_space ~states:183519 ~transitions:439630 (r.states, r.transitions);
   Alcotest.(check bool) "exhausted" false r.truncated
 
 let test_lamport_needs_fifo () =
@@ -82,6 +98,7 @@ let test_lamport_needs_fifo () =
      violation (an ACK overtaking the REQUEST it acknowledges). *)
   let module M = Mcheck.Make (Baselines.Lamport) in
   let r = M.run ~fifo:false ~requests_per_node:1 (Types.Config.default ~n:3) in
+  expect_space ~states:17874 ~transitions:36495 (r.states, r.transitions);
   match r.violation with
   | Some { kind = `Safety; _ } -> ()
   | Some { kind = `Deadlock; _ } -> Alcotest.fail "wrong verdict"
@@ -92,7 +109,8 @@ let test_basic_fifo_also_ok () =
      FIFO (a smaller space) must of course also pass. *)
   let module M = Mcheck.Make (Basic) in
   let r = M.run ~fifo:true ~requests_per_node:1 (basic_cfg 2) in
-  expect_clean M.describe r.violation
+  expect_clean M.describe r.violation;
+  expect_space ~states:75 ~transitions:119 (r.states, r.transitions)
 
 let test_maekawa_bounded () =
   let module M = Mcheck.Make (Baselines.Maekawa) in
@@ -100,7 +118,8 @@ let test_maekawa_bounded () =
     M.run ~max_states:150_000 ~requests_per_node:1
       (Types.Config.default ~n:3)
   in
-  expect_clean M.describe r.violation
+  expect_clean M.describe r.violation;
+  expect_space ~states:150000 ~transitions:574613 (r.states, r.transitions)
 
 (* Validate the checker itself: a deliberately broken algorithm in
    which the initial holder grants everyone immediately must be caught
@@ -305,17 +324,20 @@ let test_join_churn_bounded () =
   let module M = Mcheck.Make (Join_churn) in
   let r = M.run ~max_states:120_000 ~requests_per_node:1 (churn_cfg 3) in
   expect_clean M.describe r.violation;
+  expect_space ~states:120000 ~transitions:343496 (r.states, r.transitions);
   Alcotest.(check bool) "non-trivial space" true (r.states > 10_000)
 
 let test_leave_churn_bounded () =
   let module M = Mcheck.Make (Leave_churn) in
   let r = M.run ~max_states:120_000 ~requests_per_node:2 (churn_cfg 3) in
-  expect_clean M.describe r.violation
+  expect_clean M.describe r.violation;
+  expect_space ~states:120000 ~transitions:371240 (r.states, r.transitions)
 
 let test_regen_churn_bounded () =
   let module M = Mcheck.Make (Regen_churn) in
   let r = M.run ~max_states:120_000 ~requests_per_node:2 (regen_cfg 3) in
-  expect_clean M.describe r.violation
+  expect_clean M.describe r.violation;
+  expect_space ~states:120000 ~transitions:501125 (r.states, r.transitions)
 
 (* Random walks over the churn scenarios, with unordered and with FIFO
    channels. 5000 walks (about 2 s each) is deep enough to reach the
@@ -412,6 +434,7 @@ let test_monitored_without_retries_starves () =
 let test_detects_safety_violation () =
   let module M = Mcheck.Make (Broken_grant_all) in
   let r = M.run ~requests_per_node:1 (Types.Config.default ~n:2) in
+  expect_space ~states:4 ~transitions:3 (r.states, r.transitions);
   match r.violation with
   | Some { kind = `Safety; _ } -> ()
   | Some { kind = `Deadlock; _ } -> Alcotest.fail "wrong verdict"
@@ -454,6 +477,7 @@ let test_rw_shared_exhaustive () =
     M.run ~max_states:400_000 ~requests_per_node:1 ~shared_per_node:1 cfg
   in
   expect_clean M.describe r.violation;
+  expect_space ~states:400000 ~transitions:1503733 (r.states, r.transitions);
   Alcotest.(check bool) "non-trivial space" true (r.states > 1_000)
 
 let test_rw_all_shared_exhaustive () =
@@ -466,11 +490,13 @@ let test_rw_all_shared_exhaustive () =
   let r =
     M.run ~max_states:400_000 ~requests_per_node:0 ~shared_per_node:1 cfg
   in
-  expect_clean M.describe r.violation
+  expect_clean M.describe r.violation;
+  expect_space ~states:400000 ~transitions:1531777 (r.states, r.transitions)
 
 let test_detects_deadlock () =
   let module M = Mcheck.Make (Broken_never_grant) in
   let r = M.run ~requests_per_node:1 (Types.Config.default ~n:2) in
+  expect_space ~states:4 ~transitions:4 (r.states, r.transitions);
   match r.violation with
   | Some { kind = `Deadlock; trace; walk } ->
       Alcotest.(check bool) "trace nonempty" true (trace <> []);
