@@ -252,9 +252,9 @@ type state = {
   next_seq : int;  (** Our request counter (Section 2.4 sequence numbers). *)
   outstanding : int option;  (** Sequence number of our in-flight request. *)
   out_mode : Types.mode;  (** Mode of the outstanding request. *)
-  pending : int;  (** Application requests queued behind [outstanding]. *)
   pending_modes : Types.mode list;
-      (** FIFO modes of the [pending] queued requests, oldest first. *)
+      (** Modes of the application requests queued behind
+          [outstanding], oldest first. *)
   in_cs : bool;
   rbatch : rbatch option;
       (** We coordinate an in-flight shared batch (and hold the token). *)

@@ -39,6 +39,8 @@ let enqueue e q =
   in
   place q
 
+let enqueue_all es q = List.fold_left (fun acc e -> enqueue e acc) q es
+
 (* Both sort policies are the same machine: a stable sort on a
    per-entry urgency key, higher first — FCFS is the tie-break. *)
 let sort_by_urgency key q =

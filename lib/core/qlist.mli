@@ -40,6 +40,10 @@ val enqueue : entry -> t -> t
     has an entry, keep the one with the larger sequence number in its
     original position. *)
 
+val enqueue_all : entry list -> t -> t
+(** [enqueue_all es q] enqueues each of [es], in order, at the back of
+    [q]. *)
+
 val sort_by_priority : int array -> t -> t
 (** Stable sort, higher priority first (Section 5.2); FCFS order is
     preserved within a priority level. *)

@@ -47,7 +47,7 @@ let test_request_from_normal_node () =
   (* second local request queues behind the first *)
   let st, effs = step cfg st Request_cs in
   Alcotest.(check int) "no second message" 0 (List.length (sends effs));
-  Alcotest.(check int) "queued locally" 1 st.Protocol.pending
+  Alcotest.(check int) "queued locally" 1 (List.length st.Protocol.pending_modes)
 
 let test_arbiter_enqueues_own_request () =
   let st = Protocol.init cfg 0 in

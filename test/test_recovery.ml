@@ -365,7 +365,7 @@ let test_sync_wait_absorbs_epoch_first () =
   let st, effs = Protocol.handle cfg ~now:1.0 st Types.Request_cs in
   Alcotest.(check int) "request parked, nothing sent" 0
     (List.length (sends effs));
-  Alcotest.(check int) "parked as pending" 1 st.Protocol.pending;
+  Alcotest.(check int) "parked as pending" 1 (List.length st.Protocol.pending_modes);
   let st, effs =
     Protocol.handle cfg ~now:2.0 st
       (Types.Receive (3, na ~arbiter:3 ~epoch:9 ~election:6 ~n))
@@ -378,7 +378,7 @@ let test_sync_wait_absorbs_epoch_first () =
   | [ (3, Protocol.Request e) ] ->
       Alcotest.(check int) "request carries restarted seq" 0 e.Qlist.seq
   | _ -> Alcotest.fail "expected the parked REQUEST to the new arbiter");
-  Alcotest.(check int) "pending drained" 0 st.Protocol.pending
+  Alcotest.(check int) "pending drained" 0 (List.length st.Protocol.pending_modes)
 
 let test_sync_wait_escape_valve () =
   (* If no announcement ever comes, T_retry releases the parked
@@ -413,7 +413,7 @@ let test_past_life_entries_shed () =
   let restarted () =
     let st = Protocol.rejoin_restored cfg 0 r in
     let st, _ = Protocol.handle cfg ~now:1.0 st Types.Request_cs in
-    Alcotest.(check int) "request parked" 1 st.Protocol.pending;
+    Alcotest.(check int) "request parked" 1 (List.length st.Protocol.pending_modes);
     st
   in
   let privilege ~epoch entries =
@@ -466,7 +466,7 @@ let test_past_life_entries_shed () =
   Alcotest.(check bool) "held, not entered" true
     ((not (entered effs)) && st.Protocol.token <> None);
   Alcotest.(check bool) "parked request still parked" true
-    (st.Protocol.sync_wait && st.Protocol.pending = 1);
+    (st.Protocol.sync_wait && List.length st.Protocol.pending_modes = 1);
   (* The announcement of the dispatch that sent it, queued behind it
      in the same peer's transport, is no news: still parked. *)
   let st, effs =
@@ -474,7 +474,7 @@ let test_past_life_entries_shed () =
       (Types.Receive (3, na ~arbiter:0 ~epoch:0 ~election:1 ~n))
   in
   Alcotest.(check bool) "stale announcement does not end resync" true
-    (st.Protocol.sync_wait && st.Protocol.pending = 1 && sends effs = []);
+    (st.Protocol.sync_wait && List.length st.Protocol.pending_modes = 1 && sends effs = []);
   let st, effs =
     Protocol.handle cfg ~now:2.1 st
       (Types.Receive (3, na ~arbiter:3 ~epoch:4 ~election:2 ~n))
