@@ -24,6 +24,9 @@
    summary (per-experiment seconds, per-kernel ns/run, jobs count) so
    later runs can be diffed against a recorded baseline.
 
+   Everything here is simulation or an in-process kernel: the harness
+   opens no socket. The live lock service is measured by bench/e2e.
+
    DMUTEX_BENCH_REQUESTS scales the per-point simulation length
    (default 50_000; the paper used 1_000_000 — set it that high for a
    full-fidelity run). DMUTEX_BENCH_QUICK=1 shrinks everything for a
@@ -44,10 +47,9 @@ let usage_error fmt =
 
 (* DMUTEX_BENCH_ONLY=lab (comma-separated section names, see [main])
    restricts the run to named sections — the nightly lab workflow
-   regenerates only the big-N tables without paying for the
-   live-socket experiments. The JSON summary then lacks the skipped
-   sections' derived metrics, so its gate run needs
-   [--allow-missing]. *)
+   regenerates only the big-N tables without paying for the rest.
+   The JSON summary then lacks the skipped sections' derived metrics,
+   so its gate run needs [--allow-missing]. *)
 let only_sections =
   match Sys.getenv_opt "DMUTEX_BENCH_ONLY" with
   | None | Some "" -> None
@@ -208,12 +210,12 @@ let tables () =
 
 (* Everything the JSON summary embeds beyond timings: derived
    per-experiment reports, keyed under "derived". Populated by the lab
-   tables and the live experiments below. *)
+   tables and the derived and rw sections below. *)
 let derived_reports : (string * Dmutex_obs.Json.t) list ref = ref []
 
 (* ------------------------------------------------------------------ *)
 (* Big-N comparison lab: table:scale, table:wan, table:faults. The
-   derived rows are embedded in the JSON summary (schema 3) so the
+   derived rows are embedded in the JSON summary (schema 4) so the
    gate can hold the dmutex Eq. 4 band at every N and watch the
    scaling exponent against the committed baseline. *)
 
@@ -447,195 +449,6 @@ let derived () =
         ~obs:reg cfg)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded throughput: the lock namespace measured live. K independent
-   locks on an N-node loopback cluster (real sockets, one multiplexed
-   transport per node), every node driving a closed loop on every
-   lock. Reports aggregate critical sections per second and the
-   per-lock messages-per-CS — each shard must stay in the same Eq. 4
-   band as a single-lock cluster, making the multiplexing provably
-   free in protocol messages. *)
-
-module SCluster = Netkit.Cluster.Make (Dmutex.Resilient) (Wire.Protocol_codec)
-
-let sharded () =
-  let open Dmutex_obs in
-  let n = 5 in
-  let k = 8 in
-  (* Enough rounds per (node, lock) pair that the free startup grants
-     cannot drag the per-lock mean below the Eq. 4 band. *)
-  let rounds = if quick then 12 else 25 in
-  let locks = List.init k (fun i -> Printf.sprintf "shard-%d" i) in
-  (* Tight collection timers: the reactor transport coalesces the
-     frames of a protocol step (and anything else in the same flush
-     window) into single writes, so the paper's batching no longer
-     needs a long T_collect to keep syscall costs down — the timer can
-     be latency-sized instead of throughput-sized. *)
-  let cfg =
-    {
-      (Dmutex.Resilient.config ~n ()) with
-      Dmutex.Types.Config.t_collect = 0.002;
-      t_forward = 0.002;
-    }
-  in
-  let cluster, elapsed, timeouts =
-    timed "sharded:throughput" (fun () ->
-        let cluster = SCluster.launch ~base_port:8901 ~locks cfg in
-        let timeouts = Atomic.make 0 in
-        let t0 = Unix.gettimeofday () in
-        let worker i lock () =
-          for _ = 1 to rounds do
-            match
-              SCluster.Node.with_lock ~timeout:30.0 ~lock
-                (SCluster.node cluster i) (fun () -> ())
-            with
-            | Some () -> ()
-            | None -> Atomic.incr timeouts
-          done
-        in
-        let threads =
-          List.concat_map
-            (fun lock ->
-              List.init n (fun i -> Thread.create (worker i lock) ()))
-            locks
-        in
-        List.iter Thread.join threads;
-        (cluster, Unix.gettimeofday () -. t0, Atomic.get timeouts))
-  in
-  let report = SCluster.obs_report cluster in
-  let by_lock = SCluster.obs_report_by_lock cluster in
-  SCluster.shutdown cluster;
-  let cs_per_sec =
-    if elapsed > 0.0 then float_of_int report.Report.cs_entries /. elapsed
-    else 0.0
-  in
-  Format.fprintf fmt
-    "sharded:throughput — %d locks x %d nodes: %d CS in %.2f s (%.1f CS/s \
-     aggregate), %.3f msgs/CS, %d timeouts@."
-    k n report.Report.cs_entries elapsed cs_per_sec
-    report.Report.messages_per_cs timeouts;
-  List.iter
-    (fun (lock, (r : Report.t)) ->
-      Format.fprintf fmt "   %-10s %4d CS  %.3f msgs/CS@." lock
-        r.Report.cs_entries r.Report.messages_per_cs)
-    by_lock;
-  line ();
-  let json =
-    Json.Obj
-      [
-        ("locks", Json.Num (float_of_int k));
-        ("nodes", Json.Num (float_of_int n));
-        ("cs_entries", Json.Num (float_of_int report.Report.cs_entries));
-        ("cs_per_sec", Json.Num cs_per_sec);
-        ("messages_per_cs", Json.Num report.Report.messages_per_cs);
-        ("timeouts", Json.Num (float_of_int timeouts));
-        ( "per_lock",
-          Json.Obj
-            (List.map
-               (fun (lock, (r : Report.t)) ->
-                 ( lock,
-                   Json.Obj
-                     [
-                       ("cs_entries", Json.Num (float_of_int r.Report.cs_entries));
-                       ("messages_per_cs", Json.Num r.Report.messages_per_cs);
-                     ] ))
-               by_lock) );
-      ]
-  in
-  derived_reports := ("sharded", json) :: !derived_reports
-
-(* ------------------------------------------------------------------ *)
-(* Client swarm: the session layer measured live. M ≫ N thin clients
-   (each a Session_client over loopback TCP) hammer K locks through
-   the session services of an N-node cluster. Reports the aggregate
-   grant rate and — the acceptance criterion — the protocol
-   messages-per-CS, which must stay in the same Eq. 4 band as a
-   clientless cluster: sessions multiplex onto the node's token
-   passing, they add zero protocol messages. *)
-
-module SSession = Netkit.Session.Make (Dmutex.Resilient) (Wire.Protocol_codec)
-
-let client_swarm () =
-  let open Dmutex_obs in
-  let n = 5 in
-  let k = 4 in
-  let clients = if quick then 48 else 200 in
-  let rounds = if quick then 2 else 3 in
-  let locks = List.init k (fun i -> Printf.sprintf "swarm-%d" i) in
-  let cfg =
-    {
-      (Dmutex.Resilient.config ~n ()) with
-      Dmutex.Types.Config.t_collect = 0.002;
-      t_forward = 0.002;
-    }
-  in
-  let grants = Atomic.make 0 and failures = Atomic.make 0 in
-  let cluster, elapsed =
-    timed "client:swarm" (fun () ->
-        let cluster = SCluster.launch ~base_port:8951 ~locks cfg in
-        let servers =
-          Array.init n (fun i ->
-              SSession.create
-                ~fencing:Dmutex_store.Protocol_view.fencing_of_state
-                ~node:(SCluster.node cluster i)
-                ~addr:{ Netkit.Transport.host = "127.0.0.1"; port = 0 }
-                ())
-        in
-        let addrs =
-          Array.to_list
-            (Array.map
-               (fun s ->
-                 { Netkit.Transport.host = "127.0.0.1"; port = SSession.port s })
-               servers)
-        in
-        let t0 = Unix.gettimeofday () in
-        let worker c () =
-          let cl =
-            Netkit.Session_client.connect ~seed:(0x5eed + c) ~addrs ()
-          in
-          let lock = Printf.sprintf "swarm-%d" (c mod k) in
-          for _ = 1 to rounds do
-            match
-              Netkit.Session_client.with_lock ~timeout:60.0 ~lock cl
-                (fun ~fencing:_ -> ())
-            with
-            | Ok () -> Atomic.incr grants
-            | Error _ -> Atomic.incr failures
-          done;
-          Netkit.Session_client.close cl
-        in
-        let threads = List.init clients (fun c -> Thread.create (worker c) ()) in
-        List.iter Thread.join threads;
-        let elapsed = Unix.gettimeofday () -. t0 in
-        Array.iter SSession.shutdown servers;
-        (cluster, elapsed))
-  in
-  let report = SCluster.obs_report cluster in
-  SCluster.shutdown cluster;
-  let granted = Atomic.get grants and failed = Atomic.get failures in
-  let acq_per_sec =
-    if elapsed > 0.0 then float_of_int granted /. elapsed else 0.0
-  in
-  Format.fprintf fmt
-    "client:swarm — %d clients x %d rounds over %d locks, %d nodes: %d \
-     grants in %.2f s (%.1f acq/s), %.3f protocol msgs/CS, %d failures@."
-    clients rounds k n granted elapsed acq_per_sec
-    report.Report.messages_per_cs failed;
-  line ();
-  let json =
-    Json.Obj
-      [
-        ("clients", Json.Num (float_of_int clients));
-        ("nodes", Json.Num (float_of_int n));
-        ("locks", Json.Num (float_of_int k));
-        ("grants", Json.Num (float_of_int granted));
-        ("failures", Json.Num (float_of_int failed));
-        ("acq_per_sec", Json.Num acq_per_sec);
-        ("messages_per_cs", Json.Num report.Report.messages_per_cs);
-      ]
-  in
-  derived_reports := ("client", json) :: !derived_reports
-
-(* ------------------------------------------------------------------ *)
 (* Read-write throughput: the shared-grant batching quantified. A
    saturated cluster under the read-write policy with a 90/10
    read-heavy mix serves maximal reader runs concurrently under one
@@ -713,70 +526,30 @@ let run_micro () =
 (* ------------------------------------------------------------------ *)
 (* Machine-readable summary (DMUTEX_BENCH_JSON=path).                  *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let write_json path ~total =
-  let buf = Buffer.create 2048 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add (Printf.sprintf "  \"schema\": 3,\n");
-  add (Printf.sprintf "  \"quick\": %b,\n" quick);
-  add (Printf.sprintf "  \"requests_per_point\": %d,\n" requests);
-  add (Printf.sprintf "  \"runs\": %d,\n" runs);
-  add (Printf.sprintf "  \"rates\": %d,\n" (List.length rates));
-  add (Printf.sprintf "  \"jobs\": %d,\n" (Simkit.Pool.jobs ()));
-  add "  \"experiments\": [\n";
-  let exps = List.rev !timings in
-  List.iteri
-    (fun i (name, dt) ->
-      add
-        (Printf.sprintf "    {\"name\": \"%s\", \"seconds\": %.6f}%s\n"
-           (json_escape name) dt
-           (if i = List.length exps - 1 then "" else ",")))
-    exps;
-  add "  ],\n";
-  add "  \"kernels\": [\n";
-  let kernels = List.rev !kernel_estimates in
-  List.iteri
-    (fun i (name, est) ->
-      add
-        (Printf.sprintf "    {\"name\": \"%s\", \"ns_per_run\": %.2f}%s\n"
-           (json_escape name) est
-           (if i = List.length kernels - 1 then "" else ",")))
-    kernels;
-  add "  ],\n";
-  add "  \"derived\": {\n";
-  let ds = List.rev !derived_reports in
-  List.iteri
-    (fun i (key, json) ->
-      (* Re-indent the pretty-printed report to sit two levels deep. *)
-      let pretty = Dmutex_obs.Json.to_string_pretty json in
-      let indented =
-        String.concat "\n    " (String.split_on_char '\n' pretty)
-      in
-      add
-        (Printf.sprintf "    \"%s\": %s%s\n" (json_escape key) indented
-           (if i = List.length ds - 1 then "" else ",")))
-    ds;
-  add "  },\n";
-  add (Printf.sprintf "  \"total_seconds\": %.6f\n" total);
-  add "}\n";
-  let oc = open_out path in
+let write_json file ~total =
+  let open Dmutex_obs.Json in
+  let named key (name, v) = Obj [ ("name", Str name); (key, Num v) ] in
+  let summary =
+    Obj
+      [
+        ("schema", Num 4.);
+        ("quick", Bool quick);
+        ("requests_per_point", Num (float_of_int requests));
+        ("runs", Num (float_of_int runs));
+        ("rates", Num (float_of_int (List.length rates)));
+        ("jobs", Num (float_of_int (Simkit.Pool.jobs ())));
+        ("experiments", List (List.rev_map (named "seconds") !timings));
+        ("kernels", List (List.rev_map (named "ns_per_run") !kernel_estimates));
+        ("derived", Obj (List.rev !derived_reports));
+        ("total_seconds", Num total);
+      ]
+  in
+  let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf))
+    (fun () ->
+      output_string oc (to_string_pretty summary);
+      output_char oc '\n')
 
 let () =
   (* Kernels first, on a fresh heap: timed after the lab (table:scale
@@ -790,8 +563,6 @@ let () =
       ("lab", lab);
       ("derived", derived);
       ("rw", rw_throughput);
-      ("sharded", sharded);
-      ("client", client_swarm);
     ]
   in
   Option.iter

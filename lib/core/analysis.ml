@@ -41,8 +41,6 @@ let no_starvation_bound (cfg : Types.Config.t) =
 module Reference = struct
   let ricart_agrawala ~n = 2.0 *. float_of_int (n - 1)
   let suzuki_kasami ~n = float_of_int n
-  let raymond_high_load = 4.0
-  let raymond_low_load ~n = 2.0 *. (log (float_of_int n) /. log 2.0)
   let maekawa ~n = 3.0 *. sqrt (float_of_int n)
   let central_server = 3.0
 end

@@ -52,13 +52,6 @@ module Reference : sig
   val suzuki_kasami : n:int -> float
   (** [N] when the requester does not hold the token. *)
 
-  val raymond_high_load : float
-  (** ≈ 4 messages at high load (cited from Raymond's paper). *)
-
-  val raymond_low_load : n:int -> float
-  (** ≈ [4/3 * log2 N + 1]-ish; we expose [2 * log2 N] as the usual
-      low-load bound quoted in surveys. *)
-
   val maekawa : n:int -> float
   (** Between [3 sqrt N] and [5 sqrt N]; we return [3 sqrt N]. *)
 

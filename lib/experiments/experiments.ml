@@ -1280,81 +1280,6 @@ module Csv = struct
       rows;
     Buffer.contents buf
 
-  let of_scale (rows : scale_row list) =
-    let buf = Buffer.create 1024 in
-    buf_add_row buf
-      [
-        "algorithm"; "n"; "messages_per_cs"; "msgs_ci95"; "mean_delay";
-        "delay_ci95"; "alloc_mb"; "exponent";
-      ];
-    List.iter
-      (fun (r : scale_row) ->
-        List.iter
-          (fun (c : scale_cell) ->
-            buf_add_row buf
-              [
-                field r.algorithm;
-                string_of_int c.n_nodes;
-                Printf.sprintf "%g" c.msgs.mean;
-                Printf.sprintf "%g" c.msgs.ci95;
-                Printf.sprintf "%g" c.dly.mean;
-                Printf.sprintf "%g" c.dly.ci95;
-                Printf.sprintf "%g" c.alloc_mb;
-                Printf.sprintf "%g" r.exponent;
-              ])
-          r.cells)
-      rows;
-    Buffer.contents buf
-
-  let of_wan (rows : wan_row list) =
-    let buf = Buffer.create 1024 in
-    buf_add_row buf
-      [
-        "algorithm"; "scenario"; "messages_per_cs"; "mean_delay"; "region";
-        "grants"; "p50"; "p95"; "p99";
-      ];
-    List.iter
-      (fun (r : wan_row) ->
-        List.iter
-          (fun (reg : wan_region_stats) ->
-            buf_add_row buf
-              [
-                field r.wan_algorithm;
-                field r.scenario;
-                Printf.sprintf "%g" r.wan_msgs;
-                Printf.sprintf "%g" r.wan_mean_delay;
-                string_of_int reg.region;
-                string_of_int reg.grants;
-                Printf.sprintf "%g" reg.p50;
-                Printf.sprintf "%g" reg.p95;
-                Printf.sprintf "%g" reg.p99;
-              ])
-          r.regions)
-      rows;
-    Buffer.contents buf
-
-  let of_faults (rows : fault_row list) =
-    let buf = Buffer.create 512 in
-    buf_add_row buf
-      [
-        "algorithm"; "supported"; "completed"; "messages_per_cs";
-        "mean_delay"; "max_delay"; "unserved";
-      ];
-    List.iter
-      (fun (r : fault_row) ->
-        buf_add_row buf
-          [
-            field r.fault_algorithm;
-            string_of_bool r.supported;
-            string_of_int r.fault_completed;
-            Printf.sprintf "%g" r.fault_msgs;
-            Printf.sprintf "%g" r.fault_mean_delay;
-            Printf.sprintf "%g" r.fault_max_delay;
-            string_of_int r.fault_unserved;
-          ])
-      rows;
-    Buffer.contents buf
-
   let write ~dir ~name csv =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let path = Filename.concat dir (name ^ ".csv") in

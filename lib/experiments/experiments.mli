@@ -323,10 +323,6 @@ module Csv : sig
 
   val of_topology : (string * float * float * float) list -> string
 
-  val of_scale : scale_row list -> string
-  val of_wan : wan_row list -> string
-  val of_faults : fault_row list -> string
-
   val write : dir:string -> name:string -> string -> string
   (** [write ~dir ~name csv] stores [csv] as [dir/name.csv] (creating
       [dir] if missing) and returns the path. *)

@@ -128,7 +128,7 @@ module Make (A : Dmutex.Types.ALGO) = struct
       sbudget;
     }
 
-  let enabled ~fifo ~fire_timers g =
+  let enabled ~fifo g =
     let n = Array.length g.nodes in
     let injects =
       List.filter_map
@@ -149,10 +149,7 @@ module Make (A : Dmutex.Types.ALGO) = struct
           List.map (fun m -> Deliver (src, dst, m)) candidates)
         g.inflight
     in
-    let fires =
-      if fire_timers then List.map (fun (i, k) -> Fire (i, k)) g.timers
-      else []
-    in
+    let fires = List.map (fun (i, k) -> Fire (i, k)) g.timers in
     let finishes =
       List.filter_map
         (fun i -> if A.in_cs g.nodes.(i) then Some (Finish i) else None)
@@ -174,8 +171,7 @@ module Make (A : Dmutex.Types.ALGO) = struct
   let wants g = Array.exists (fun st -> A.wants_cs st) g.nodes
 
   let run ?(max_states = 2_000_000) ?(requests_per_node = 1)
-      ?(shared_per_node = 0) ?(fire_timers = true) ?(fifo = false)
-      ?(progress = false) cfg =
+      ?(shared_per_node = 0) ?(fifo = false) ?(progress = false) cfg =
     let n = cfg.Config.n in
     let initial =
       {
@@ -208,7 +204,7 @@ module Make (A : Dmutex.Types.ALGO) = struct
     (try
        while not (Queue.is_empty queue) do
          let g, dg = Queue.pop queue in
-         let trs = enabled ~fifo ~fire_timers g in
+         let trs = enabled ~fifo g in
          if trs = [] && wants g then begin
            violation :=
              Some { kind = `Deadlock; trace = trace_to dg; walk = None };
@@ -248,8 +244,7 @@ module Make (A : Dmutex.Types.ALGO) = struct
     }
 
   let run_random ?(walks = 1000) ?(depth = 400) ?(seed = 1)
-      ?(requests_per_node = 1) ?(shared_per_node = 0) ?(fire_timers = true)
-      ?(fifo = false) cfg =
+      ?(requests_per_node = 1) ?(shared_per_node = 0) ?(fifo = false) cfg =
     let n = cfg.Config.n in
     let initial =
       {
@@ -270,7 +265,7 @@ module Make (A : Dmutex.Types.ALGO) = struct
          let path = ref [] in
          (try
             for _ = 1 to depth do
-              match enabled ~fifo ~fire_timers !g with
+              match enabled ~fifo !g with
               | [] ->
                   if wants !g then begin
                     violation :=

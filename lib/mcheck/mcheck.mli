@@ -41,7 +41,6 @@ module Make (A : Dmutex.Types.ALGO) : sig
     ?max_states:int ->
     ?requests_per_node:int ->
     ?shared_per_node:int ->
-    ?fire_timers:bool ->
     ?fifo:bool ->
     ?progress:bool ->
     Dmutex.Types.Config.t ->
@@ -51,9 +50,8 @@ module Make (A : Dmutex.Types.ALGO) : sig
       [shared_per_node] (default 0) shared CS requests injectable at
       each node, visiting at most [max_states] (default 2_000_000)
       states.
-      [fire_timers] (default [true]) lets armed timers fire
-      nondeterministically; switch it off to model a perfectly timed
-      system. [fifo] (default [false]) restricts each (src, dst)
+      Armed timers fire nondeterministically, at any point after
+      they are set. [fifo] (default [false]) restricts each (src, dst)
       channel to in-order delivery — required by algorithms such as
       Lamport's, which the unrestricted checker correctly refutes. *)
 
@@ -63,7 +61,6 @@ module Make (A : Dmutex.Types.ALGO) : sig
     ?seed:int ->
     ?requests_per_node:int ->
     ?shared_per_node:int ->
-    ?fire_timers:bool ->
     ?fifo:bool ->
     Dmutex.Types.Config.t ->
     result

@@ -1,42 +1,33 @@
-(** Bench regression gate: compares the derived metrics of a fresh
-    [BENCH_RESULTS.json] against the committed baseline.
+(** Bench regression gates.
 
-    Two families of checks:
+    {!run} compares the derived metrics of a fresh [BENCH_RESULTS.json]
+    against the committed baseline. Two families of checks:
 
-    - {b relative}: messages-per-CS (high and light load) and total
-      wall-clock must not regress by more than a tolerance fraction
-      over the baseline. Messages-per-CS is deterministic (pure
-      simulation, fixed seeds) so its tolerance can be tight;
-      wall-clock depends on the host, so its tolerance is separate
-      and CI passes a loose one.
+    - {b relative}: messages-per-CS (high and light load), the
+      read-write speedup and total wall-clock must not regress by more
+      than a tolerance fraction over the baseline. Messages-per-CS is
+      deterministic (pure simulation, fixed seeds) so its tolerance can
+      be tight; wall-clock depends on the host, so its tolerance is
+      separate and CI passes a loose one.
     - {b absolute}: the high-load messages-per-CS must sit inside the
-      acceptance band derived from the paper's Eq. 4 (M = 3 - 2/N),
+      acceptance band [2.5, 4.5] derived from the paper's Eq. 4
+      (M = 3 - 2/N), and the read-write speedup must be at least 2,
       independent of what the baseline says — a drifting baseline
       cannot ratchet the protocol away from the analysis.
 
-    The big-N scale table ([derived.scale], schema 3) adds dynamic
-    checks generated from the current run: the dmutex row's
-    messages-per-CS must sit inside the Eq. 4 band {e at every swept
-    N}, each cell is compared against the baseline's matching cell
-    when one exists, and the empirical scaling exponent must stay
-    within an absolute tolerance of the baseline's. A current run with
-    no scale table at all fails — the band must not vanish silently —
-    unless [allow_missing] marks the run as deliberately sectioned
-    (e.g. [DMUTEX_BENCH_ONLY] in the nightly lab).
+    The big-N scale table ([derived.scale]) adds checks generated from
+    the current run: the dmutex row's messages-per-CS must sit inside
+    the Eq. 4 band {e at every swept N} and within tolerance of the
+    baseline's matching cell, and the empirical scaling exponent must
+    stay within 0.15 of the baseline's.
 
-    Checks are direction-aware: costs (messages/CS, wall-clock)
-    regress {e upward}, while the sharded experiment's aggregate
-    throughput regresses {e downward} — a lower [cs_per_sec] than the
-    baseline beyond tolerance fails, a higher one never does. The
-    sharded messages-per-CS shares the Eq. 4 acceptance band: hosting
-    many locks must not change any one lock's per-CS cost.
+    Improvements never fail. A metric missing from the {e baseline}
+    fails with "regenerate the baseline". A metric missing from the
+    {e current} run fails too, unless [allow_missing] marks the run as
+    deliberately sectioned.
 
-    Improvements never fail. Metrics missing from the {e baseline} are
-    skipped with a note (forward compatibility); metrics missing from
-    the {e current} run fail — except the optional sharded and
-    client-swarm metrics, which are skipped when absent from both runs
-    (baselines and runs that predate the lock namespace or the client
-    session layer). *)
+    {!e2e} holds absolute floors and bands on the result of the
+    end-to-end benchmark's [--workload all] run. *)
 
 type outcome = {
   lines : string list;  (** human-readable report, one line per check *)
@@ -49,26 +40,10 @@ type outcome = {
 
 val run :
   ?tolerance:float ->
-  (* messages-per-CS relative tolerance, default 0.25 *)
+  (* relative tolerance of every check except wall-clock and the
+     scale exponent, default 0.25 *)
   ?wall_tolerance:float ->
   (* wall-clock relative tolerance, default 0.25 *)
-  ?band:float * float ->
-  (* absolute high-load messages-per-CS band, default (2.5, 4.5);
-     also applied to every N of the scale table's dmutex row *)
-  ?exponent_tolerance:float ->
-  (* absolute tolerance on the dmutex scaling exponent vs the
-     baseline's, default 0.15 — relative tolerances are meaningless
-     for a metric that sits near zero by design *)
-  ?sharded_floor:float ->
-  (* absolute floor on the sharded experiment's aggregate cs_per_sec;
-     default none. Like [band], it applies regardless of the baseline,
-     pinning the transport's throughput so later changes cannot walk
-     it back one tolerated regression at a time. *)
-  ?client_floor:float ->
-  (* absolute floor on the client-swarm experiment's acq_per_sec
-     (grants issued to thin clients per second); default none. The
-     client-swarm checks are optional like the sharded ones —
-     baselines that predate the session layer skip them. *)
   ?allow_missing:bool ->
   (* default false. True turns "metric missing from the current run"
      into a skip instead of a failure, for deliberately sectioned
@@ -78,3 +53,15 @@ val run :
   current:Json.t ->
   unit ->
   outcome
+
+val e2e : Json.t -> outcome
+(** Checks the object that [dmutex_bench --workload all] prints
+    (workload -> [{correct, ..., metrics: {name: {value, unit}}}], a
+    child run without a result line as [null]):
+    - [live-saturated]: [grants_per_s] at least 3950 and
+      [messages_per_cs] in [2.5, 3.25] (Eq. 4 gives 2.6 at 5 nodes);
+    - [client-durable]: [grants_per_s] at least 250 and
+      [messages_per_cs] in the Eq. 4 band [2.5, 4.5].
+
+    A missing workload or metric fails. Each failure line names the
+    workload and the metric. *)

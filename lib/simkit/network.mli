@@ -67,7 +67,8 @@ val engine : 'm t -> Engine.t
 
 val rng : 'm t -> Rng.t
 (** The network's private delay/loss stream — exposed so an arena
-    host can [Rng.reseed] it between reused replicates. *)
+    host can [Rng.assign] a fresh stream into it between reused
+    replicates. *)
 
 val set_handler : 'm t -> (src:int -> dst:int -> 'm -> unit) -> unit
 (** Install the delivery callback, invoked at the message's arrival

@@ -60,7 +60,6 @@ let pareto t ~scale ~shape =
   let u = 1.0 -. uniform t (* in (0,1] *) in
   scale /. (u ** (1.0 /. shape))
 
-let reseed t seed = t.state <- mix (Int64.of_int seed)
 let assign ~dst ~src = dst.state <- src.state
 
 let exponential t ~rate =

@@ -56,11 +56,6 @@ val pareto : t -> scale:float -> shape:float -> float
     [shape <= 1.0], so heavy-tail experiments should report
     percentiles, not averages. *)
 
-val reseed : t -> int -> unit
-(** [reseed t seed] resets [t] in place to the stream [create seed]
-    would produce — arena-friendly: sweep replicates can reuse one
-    generator without allocating. *)
-
 val assign : dst:t -> src:t -> unit
 (** Copy [src]'s state into [dst] in place — the allocation-free
     counterpart of [copy], for re-deriving split streams in a reused

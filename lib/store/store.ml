@@ -109,8 +109,6 @@ let fencing_minor f = f land fencing_minor_mask
 let grant_sum granted =
   Array.fold_left (fun acc s -> if s >= 0 then acc + s + 1 else acc) 0 granted
 
-let fencing_floor v = fencing ~epoch:v.epoch ~minor:(grant_sum v.granted)
-
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320)                     *)
 

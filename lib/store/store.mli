@@ -113,12 +113,6 @@ val grant_sum : int array -> int
     this is non-decreasing as grants are marked, which is what makes
     it usable as the fencing minor component. *)
 
-val fencing_floor : view -> int
-(** The largest fencing token that could have been issued under the
-    durable state in [view] — what a restarted node must never go
-    below. Derived, not separately stored: the epoch and the [L]
-    vector are already persisted per {!record}. *)
-
 val open_ :
   ?wal_limit:int -> ?key:string -> ?obs:Dmutex_obs.Registry.t ->
   dir:string -> n:int -> unit -> t

@@ -298,9 +298,9 @@ let test_json_errors () =
 (* ------------------------------------------------------------------ *)
 (* Gate *)
 
-(* A minimal schema-3 results file: the classic derived metrics plus a
-   two-point scale table for the dmutex row (the gate generates a band
-   check per swept N and an exponent check from it). *)
+(* A minimal results file: the classic derived metrics, the read-write
+   speedup, and a two-point scale table for the dmutex row (the gate
+   generates a band check per swept N and an exponent check from it). *)
 let results ?(scale_mpc1000 = 3.5) ?(exponent = 0.02) ~mpc ~wall () =
   let cell n v =
     Json.Obj [ ("n", Json.Num n); ("messages_per_cs", Json.Num v) ]
@@ -314,6 +314,7 @@ let results ?(scale_mpc1000 = 3.5) ?(exponent = 0.02) ~mpc ~wall () =
               Json.Obj [ ("messages_per_cs", Json.Num mpc) ] );
             ( "light_load",
               Json.Obj [ ("messages_per_cs", Json.Num 9.9) ] );
+            ("rw", Json.Obj [ ("speedup", Json.Num 3.0) ]);
             ( "scale",
               Json.Obj
                 [
@@ -372,17 +373,26 @@ let test_gate_missing_metrics () =
   in
   Alcotest.(check bool) "missing current fails" true
     (List.length broken.Gate.failures >= 2);
-  (* Missing in baseline: skip the relative check, keep the band. *)
+  (* Missing in baseline: fail, naming the fix — a baseline without a
+     gated metric is stale, not a reason to skip the check. *)
   let old_baseline = Json.Obj [ ("total_seconds", Json.Num 10.0) ] in
   let vs_old =
     Gate.run ~baseline:old_baseline ~current:(results ~mpc:2.8 ~wall:10.0 ()) ()
   in
-  Alcotest.(check (list string)) "skips pass" [] vs_old.Gate.failures;
-  let vs_old_bad =
-    Gate.run ~baseline:old_baseline ~current:(results ~mpc:9.0 ~wall:10.0 ()) ()
+  Alcotest.(check bool) "missing baseline fails" true
+    (List.exists
+       (fun l ->
+         Str_present.contains_substring l "high-load"
+         && Str_present.contains_substring l "regenerate the baseline")
+       vs_old.Gate.failures);
+  (* Even a sectioned run cannot excuse a stale baseline. *)
+  let lax =
+    Gate.run ~allow_missing:true ~baseline:old_baseline
+      ~current:(results ~mpc:2.8 ~wall:10.0 ())
+      ()
   in
-  Alcotest.(check bool) "band still applies without baseline" true
-    (vs_old_bad.Gate.failures <> [])
+  Alcotest.(check bool) "allow_missing keeps baseline failures" true
+    (lax.Gate.failures <> [])
 
 let test_gate_scale_checks () =
   let baseline = results ~mpc:2.8 ~wall:10.0 () in
@@ -425,6 +435,70 @@ let test_gate_allow_missing () =
   (* ...but a deliberately sectioned bench gates what it has. *)
   let lax = Gate.run ~allow_missing:true ~baseline ~current:sectioned () in
   Alcotest.(check (list string)) "allow_missing skips" [] lax.Gate.failures
+
+(* The object [dmutex_bench --workload all] prints: one result per
+   workload, each with the end-to-end metric catalogue. *)
+let e2e_workload ~grants ~mpc =
+  let m name v =
+    (name, Json.Obj [ ("value", Json.Num v); ("unit", Json.Str "") ])
+  in
+  Json.Obj
+    [
+      ("correct", Json.Bool true);
+      ("attempted", Json.Num 1000.);
+      ("failed", Json.Num 0.);
+      ( "metrics",
+        Json.Obj
+          [
+            m "acquire_p50_ms" 1.0;
+            m "acquire_p90_ms" 2.0;
+            m "grants_per_s" grants;
+            m "messages_per_cs" mpc;
+            m "setup_s" 0.5;
+            m "peak_rss_mb" 20.;
+          ] );
+    ]
+
+let e2e_result ?(saturated = e2e_workload ~grants:13000. ~mpc:2.6)
+    ?(durable = e2e_workload ~grants:1450. ~mpc:3.0) () =
+  Json.Obj
+    [
+      ("live-saturated", saturated);
+      ("live-light", e2e_workload ~grants:250. ~mpc:4.8);
+      ("client-durable", durable);
+      ("sim-lab", e2e_workload ~grants:1e6 ~mpc:2.6);
+    ]
+
+let names_metric (o : Gate.outcome) ~workload ~metric =
+  List.exists
+    (fun l ->
+      Str_present.contains_substring l workload
+      && Str_present.contains_substring l metric)
+    o.Gate.failures
+
+let test_gate_e2e () =
+  let ok = Gate.e2e (e2e_result ()) in
+  Alcotest.(check (list string)) "fixture passes" [] ok.Gate.failures;
+  Alcotest.(check int) "header plus four checks" 5
+    (List.length ok.Gate.summary);
+  let slow =
+    Gate.e2e
+      (e2e_result ~saturated:(e2e_workload ~grants:3949. ~mpc:2.6) ())
+  in
+  Alcotest.(check int) "one failure below the floor" 1
+    (List.length slow.Gate.failures);
+  Alcotest.(check bool) "floor failure names workload and metric" true
+    (names_metric slow ~workload:"live-saturated" ~metric:"grants_per_s");
+  let costly =
+    Gate.e2e (e2e_result ~durable:(e2e_workload ~grants:1450. ~mpc:4.6) ())
+  in
+  Alcotest.(check bool) "band failure names workload and metric" true
+    (names_metric costly ~workload:"client-durable" ~metric:"messages_per_cs");
+  (* A child run that printed no result line appears as null. *)
+  let lost = Gate.e2e (e2e_result ~durable:Json.Null ()) in
+  Alcotest.(check bool) "null workload fails" true
+    (names_metric lost ~workload:"client-durable" ~metric:"grants_per_s"
+    && names_metric lost ~workload:"client-durable" ~metric:"messages_per_cs")
 
 (* ------------------------------------------------------------------ *)
 (* Wait-for graph *)
@@ -641,6 +715,7 @@ let suite =
         test_gate_scale_checks;
       Alcotest.test_case "gate allow-missing for sectioned runs" `Quick
         test_gate_allow_missing;
+      Alcotest.test_case "gate e2e floors and bands" `Quick test_gate_e2e;
       Alcotest.test_case "sim high load matches Eq. 4" `Quick
         test_sim_high_load_messages_per_cs;
       Alcotest.test_case "sim light load matches Eq. 1" `Quick
